@@ -2,7 +2,7 @@
 """Runs one workload of the top-k service benchmark.
 
 Usage (from the repository root):
-  python3 perfbench/run.py --workload narrow_topk --seed 1 --seconds 10 --trace 0
+  python3 perfbench/run.py --workload narrow_topk --seed 1 --seconds 20 --trace 0
 
 Builds perfbench/ (and through it the library) into $CARGO_TARGET_DIR
 (default .bench_build), then runs one workload in one process. The last

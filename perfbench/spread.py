@@ -2,14 +2,14 @@
 """Measures how steady the benchmark's end-to-end metrics are.
 
 Usage (from the repository root):
-  python3 perfbench/spread.py [--seeds 10] [--first-seed 1] [--seconds 10]
+  python3 perfbench/spread.py [--seeds 10] [--first-seed 1] [--seconds 20]
                               [--workloads narrow_topk,wal_ingest]
 
 Runs perfbench/run.py once per seed and workload with --trace 0, then prints
 for every metric its median and its spread: the distance between the first
 and third quartile (statistics.quantiles(values, n=4)) as a share of the
 median, next to the metric's bound from BENCHMARK.json. The benchmark is
-steady when every spread except setup_s's stays below a third of its bound.
+steady when every spread, setup_s's too, stays below a third of its bound.
 """
 
 import argparse
@@ -54,7 +54,7 @@ def main():
             q1, med, q3 = statistics.quantiles(vs, n=4)
             spread = (q3 - q1) / med if med else float("inf")
             bound = bounds.get(name, 0)
-            ok = name == "setup_s" or spread < bound / 3
+            ok = spread < bound / 3
             steady &= ok
             print(f"  {name:16s} median {med:12.4f}  spread {spread:7.2%}"
                   f"  bound {bound:5.0%}  {'ok' if ok else 'NOISY'}  "

@@ -17,7 +17,7 @@
 //      sampled answer, and on the file-backed workloads drop the engine
 //      without a checkpoint, Recover() it and compare its fingerprint.
 //
-// The process runs on one CPU (see PinToOneCpu).
+// The process and its one engine worker run on one CPU (see PinToOneCpu).
 // --trace 0 reports the end-to-end metrics from a run with telemetry off.
 // --trace 1 runs a plain leg and a traced leg (telemetry on) of the same
 // workload, plus a core leg against a standalone TopkIndex, and reports
@@ -62,6 +62,10 @@ using engine::Response;
 using engine::ShardedTopkEngine;
 
 constexpr std::uint32_t kBlockWords = 256;
+constexpr std::uint32_t kShards = 4;
+// Frames per shard pool, as in examples/sharded_service.cpp: far fewer than
+// the blocks of every workload's data.
+constexpr std::uint32_t kPoolFrames = 32;
 // Initial points sit on even keys of a grid with kKeyStride slots per point;
 // inserted points take odd keys, so they can never collide with one.
 constexpr std::uint64_t kKeyStride = 32;
@@ -84,14 +88,10 @@ double Micros(Clock::time_point a, Clock::time_point b) {
 struct Workload {
   std::string name;
   std::size_t n = 0;               // initial live points
-  std::uint32_t shards = 4;
-  std::uint32_t threads = 2;       // engine workers (+1 client <= 4 cores)
-  std::uint32_t pool_frames = 32;  // per shard
   bool file_backed = false;        // storage_dir + Durability::kWal
   bool mvcc = false;
   std::size_t window = 1;          // >1: RequestBatcher with this window
-  double update_share = 0;         // of the op stream (0.5 + alternate:
-  bool alternate = false;          //  strict update/query alternation)
+  double update_share = 0;         // of the op stream, evenly spread
   std::size_t cycle_ops = 0;       // ops per cycle
   std::size_t checkpoint_every = 0;  // Checkpoint() every this many ops
   // The timed phase ends this many ops into a cycle, so the state a
@@ -110,9 +110,6 @@ const std::vector<Workload>& Workloads() {
     Workload narrow;
     narrow.name = "narrow_topk";
     narrow.n = 1'000'000;
-    narrow.shards = 4;
-    narrow.threads = 2;
-    narrow.pool_frames = 32;
     narrow.update_share = 0.05;
     narrow.cycle_ops = 20'000;
     narrow.samples = 200;
@@ -122,35 +119,31 @@ const std::vector<Workload>& Workloads() {
     Workload wal;
     wal.name = "wal_ingest";
     wal.n = 200'000;
-    wal.shards = 4;
-    wal.threads = 3;
-    wal.pool_frames = 64;
     wal.file_backed = true;
-    wal.window = 32;
+    // As in examples/sharded_service.cpp, the repo's RequestBatcher caller.
+    wal.window = 128;
     wal.update_share = 0.8;
     wal.cycle_ops = 8'192;
+    // The service never checkpoints on a timer; this interval is the
+    // benchmark's own, short enough that a run covers many checkpoints.
     wal.checkpoint_every = 4'096;
     wal.stop_offset = 2'048;
     wal.samples = 200;
     wal.warmup_queries = 1'000;
-    wal.setup_repeats = 5;
+    wal.setup_repeats = 9;
     v.push_back(wal);
 
     Workload mvcc;
     mvcc.name = "mvcc_ingest";
     mvcc.n = 200'000;
-    mvcc.shards = 4;
-    mvcc.threads = 3;
-    mvcc.pool_frames = 64;
     mvcc.file_backed = true;
     mvcc.mvcc = true;
     mvcc.update_share = 0.5;
-    mvcc.alternate = true;
     mvcc.cycle_ops = 2'000;
     mvcc.stop_offset = 501;
     mvcc.samples = 100;
     mvcc.warmup_queries = 1'000;
-    mvcc.setup_repeats = 5;
+    mvcc.setup_repeats = 9;
     v.push_back(mvcc);
     return v;
   }();
@@ -228,12 +221,13 @@ Inputs Generate(const Workload& w, std::uint64_t seed) {
     return p;
   };
 
-  // Op kinds first, with an even number of updates so every pair closes.
+  // Op kinds first: updates spread evenly at update_share (0.5 alternates
+  // strictly), with an even number of them so every pair closes.
   std::vector<bool> is_update(w.cycle_ops);
   std::size_t updates = 0;
   for (std::size_t i = 0; i < w.cycle_ops; ++i) {
-    is_update[i] =
-        w.alternate ? (i % 2 == 0) : rng.Bernoulli(w.update_share);
+    const double at = static_cast<double>(i) * w.update_share;
+    is_update[i] = std::floor(at + w.update_share) > std::floor(at);
     updates += is_update[i];
   }
   if (updates % 2 == 1) {
@@ -368,8 +362,7 @@ bool SameIo(const em::IoStats& a, const em::IoStats& b) {
 struct Histos {
   std::vector<std::pair<std::string, obs::Histogram*>> named;
   explicit Histos(const engine::EngineMetricSet& m) {
-    named = {{"query", m.query_latency_us},
-             {"fanout", m.stage_fanout_us},
+    named = {{"fanout", m.stage_fanout_us},
              {"probe", m.stage_probe_us},
              {"merge", m.stage_merge_us},
              {"batch_exec", m.batch_exec_us},
@@ -428,6 +421,12 @@ double Quantile(std::vector<double> v, double q) {
 
 double Median(std::vector<double> v) { return Quantile(std::move(v), 0.5); }
 
+double PeakRssMb() {
+  struct rusage ru;
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
 // One full cycle of the timed phase; the latency vectors' entries up to
 // query_end / update_end (exclusive) belong to this or earlier cycles.
 struct CycleTime {
@@ -469,6 +468,10 @@ struct LegResult {
   // (cycle position, answer hash) of every sampled query executed.
   std::vector<std::pair<std::size_t, std::uint64_t>> answers;
   std::uint64_t end_position = 0;  // cycle position after the timed phase
+  // Peak RSS up to the end of the timed phase: the checks after it (the
+  // oracle's mirror, a recovery whose shards finish in varying order) would
+  // otherwise set a peak that moves from run to run.
+  double peak_rss_mb = 0;
   // Telemetry (traced legs only).
   HistSnaps hist_count_start, hist_count_end, hist_timed_start,
       hist_timed_end;
@@ -481,10 +484,10 @@ struct LegResult {
 EngineOptions MakeOptions(const Workload& w, bool traced,
                           const std::string& dir) {
   EngineOptions o;
-  o.num_shards = w.shards;
-  o.threads = w.threads;
+  o.num_shards = kShards;
+  o.threads = 1;  // one worker beside the client, on one CPU (PinToOneCpu)
   o.em.block_words = kBlockWords;
-  o.em.pool_frames = w.pool_frames;
+  o.em.pool_frames = kPoolFrames;
   o.telemetry.enabled = traced;
   o.mvcc = w.mvcc;
   if (w.file_backed) {
@@ -613,6 +616,7 @@ class Leg {
     while (!(done && t % cycle == w_.stop_offset)) {
       const std::size_t pos = t % cycle;
       const std::size_t end = std::min(cycle, pos + Step());
+      const std::size_t first_update = r->update_us.size();
       if (batcher_) {
         RunWindow(pos, end, r, r);
       } else if (in_.cycle[pos].kind == Op::Kind::kQuery) {
@@ -622,7 +626,12 @@ class Leg {
         RunUpdate(in_.cycle[pos], r, r);
       }
       t += end - pos;
-      MaybeCheckpoint(end, r, nullptr);
+      // A checkpoint holds up the client like a slow reply: its time is
+      // charged to the updates of the window that triggered it.
+      const double checkpoint_us = MaybeCheckpoint(end, r, nullptr);
+      for (std::size_t i = first_update; i < r->update_us.size(); ++i) {
+        r->update_us[i] += checkpoint_us;
+      }
       if (t % cycle == 0 && !done) {
         const auto now = Clock::now();
         r->cycles.push_back({Seconds(cycle_start, now), r->query_us.size(),
@@ -640,6 +649,7 @@ class Leg {
                  *std::max_element(rates.begin(), rates.end()));
     r->ops_per_s = Median(rates);
     r->end_position = t % cycle;
+    r->peak_rss_mb = PeakRssMb();
     if (traced_) r->hist_timed_end = histos.Snap();
     r->query_shard_locks = engine_->counters().query_shard_locks;
     if (batcher_) r->batcher = batcher_->stats();
@@ -686,12 +696,16 @@ class Leg {
  private:
   std::size_t Step() const { return std::max<std::size_t>(1, w_.window); }
 
-  void MaybeCheckpoint(std::size_t end_pos, LegResult* r, Counts* c) {
-    if (w_.checkpoint_every == 0 || end_pos % w_.checkpoint_every != 0) return;
+  // Checkpoints when end_pos closes an interval; returns its time in us.
+  double MaybeCheckpoint(std::size_t end_pos, LegResult* r, Counts* c) {
+    if (w_.checkpoint_every == 0 || end_pos % w_.checkpoint_every != 0) return 0;
     const em::IoStats before = engine_->AggregatedIoStats();
+    const auto t0 = Clock::now();
     r->attempted++;
     if (!engine_->Checkpoint().ok()) r->failed_status++;
+    const double us = Micros(t0, Clock::now());
     if (c != nullptr) c->update_io += engine_->AggregatedIoStats() - before;
+    return us;
   }
 
   std::size_t RunQuery(std::size_t pos, LegResult* r, LegResult* timing,
@@ -819,8 +833,7 @@ struct CoreResult {
 // standalone TopkIndex holding shard 0's points, on a memory pager with
 // the workload's block size and pool: the per-shard probe without the
 // engine around it. Queries are clipped to the shard's range.
-CoreResult CoreLeg(const Inputs& in, double shard_hi,
-                   std::uint32_t pool_frames, std::uint64_t* failed,
+CoreResult CoreLeg(const Inputs& in, double shard_hi, std::uint64_t* failed,
                    std::uint64_t* attempted) {
   std::vector<Point> pts;
   for (const Point& p : in.points) {
@@ -828,7 +841,7 @@ CoreResult CoreLeg(const Inputs& in, double shard_hi,
   }
   em::EmOptions eo;
   eo.block_words = kBlockWords;
-  eo.pool_frames = pool_frames;
+  eo.pool_frames = kPoolFrames;
   em::Pager pager(eo);
   auto idx = core::TopkIndex::Build(&pager, pts);
   TOKRA_CHECK(idx.ok());
@@ -907,11 +920,15 @@ void PrintResult(bool correct, std::uint64_t attempted, std::uint64_t failed,
   std::fflush(stdout);
 }
 
-// Confines the process, and so every engine thread it starts later, to one
-// CPU: a handoff between the client and an engine worker is then a context
-// switch on a running CPU, not the wake-up of an idle virtual CPU, which an
-// oversubscribed host may reschedule milliseconds late. Run-to-run spread
-// on a shared 4-vCPU machine was 38% in throughput without this.
+// Confines the process, and so the engine worker it starts later, to one
+// CPU. On the shared 4-vCPU machine the bounds were set on, a process that
+// kept 3 or 4 vCPUs busy (2 or 3 engine workers beside the client) drew
+// about 20% steal time from the host, and its throughput and p99 latencies
+// spread by 12-39% between runs; on one CPU they spread by 2-13%. So the
+// engine runs with one worker (RunAll runs a call's first task inline on
+// the client thread, the worker takes the rest), the two time-slice one
+// CPU, and the benchmark measures the work an op costs, not how well the
+// engine's threads overlap it.
 void PinToOneCpu() {
   cpu_set_t allowed;
   if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return;
@@ -923,12 +940,6 @@ void PinToOneCpu() {
     sched_setaffinity(0, sizeof(one), &one);
     return;
   }
-}
-
-double PeakRssMb() {
-  struct rusage ru;
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
 }
 
 struct Args {
@@ -1067,7 +1078,7 @@ int Main(int argc, char** argv) {
     m.push_back({"space_amp", "ratio",
                  Ratio(static_cast<double>(r.space.file_blocks) * kBlockWords,
                        2.0 * static_cast<double>(r.live_points))});
-    m.push_back({"peak_rss_mb", "MB", PeakRssMb()});
+    m.push_back({"peak_rss_mb", "MB", r.peak_rss_mb});
   } else {
     const Done plain = run_leg(false, 1, args.workdir + "/plain");
     const Done traced = run_leg(true, 1, args.workdir + "/traced");
@@ -1096,7 +1107,7 @@ int Main(int argc, char** argv) {
     const double probes = static_cast<double>(Diff(cs, ce, "probe").count);
     const engine::EngineCounters& k = r.counters_count;
     const CoreResult core =
-        CoreLeg(in, traced.shard0_hi, w.pool_frames, &failed, &attempted);
+        CoreLeg(in, traced.shard0_hi, &failed, &attempted);
 
     m.push_back({"em.device.reads_per_query", "count", Ratio(c.query_io.reads, q)});
     m.push_back({"em.device.ios_per_query", "count", Ratio(c.query_io.TotalIos(), q)});
