@@ -293,7 +293,7 @@ int main() {
 
   // E13e: snapshot read-serving throughput. A checkpointed engine directory
   // is reopened with OpenSnapshot (read-only mmap shards, zero-copy borrow
-  // reads, per-replica locks instead of per-shard ones) and hammered by N
+  // reads, per-handle locks instead of per-shard ones) and hammered by N
   // reader threads; throughput should scale with N.
   {
     fs::path sdir = dir / "snap";
@@ -317,7 +317,7 @@ int main() {
     TOKRA_CHECK((*snap)->size() == kN);
 
     // Serving-shaped queries: narrow ranges (~2% of the domain), so most
-    // hit one or two shards — the regime where per-replica concurrency,
+    // hit one or two shards — the regime where per-handle concurrency,
     // not per-query fan-out, is what scales. On a multi-core host the
     // kqueries/s column should grow with the thread count; a single-core
     // host correctly shows it flat (but never collapsing).

@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
   // ---- read-only snapshot serving ---------------------------------------
   // The same directory can be served without a write lock in sight:
   // OpenSnapshot maps every shard file immutably (zero-copy mmap reads,
-  // per-replica concurrency) and never writes a byte — the same call works
+  // per-handle concurrency) and never writes a byte — the same call works
   // on a copy shipped to a replica machine.
   auto snap = engine::ShardedTopkEngine::OpenSnapshot(popts);
   if (!snap.ok()) {

@@ -60,11 +60,6 @@ struct TelemetryOptions {
 
   /// Entries the slow-query log retains (oldest evicted).
   std::size_t slow_query_capacity = 64;
-
-  /// Emit per-query spans (root + one per probed shard + merge). Histograms
-  /// and the slow-query log work regardless; this only controls tracer
-  /// traffic.
-  bool trace_queries = true;
 };
 
 /// Sketch-guided shard pruning (see src/sketch/shard_fence.h and
@@ -134,33 +129,16 @@ struct EngineOptions {
   /// contract is unchanged (see DESIGN.md §6.3).
   bool parallel_checkpoint = true;
 
-  /// Checkpoint() skips shards with no accepted updates since their last
-  /// checkpoint (their backing file already holds exactly the state a
-  /// fresh checkpoint would write). Purely an I/O saving; off restores the
-  /// every-shard behaviour.
-  bool skip_clean_shard_checkpoints = true;
-
-  /// OpenSnapshot: independent read handles (pager + index view) per shard.
-  /// Each replica serves one query at a time; with kMmap shards the
-  /// replicas share every cached byte through the OS page cache, so extra
-  /// replicas cost only pool bookkeeping. 0 derives threads + 1 (the pool
-  /// workers plus the calling thread).
-  std::uint32_t snapshot_replicas = 0;
-
   /// Serve-while-updating MVCC (DESIGN.md §14). Every shard pager runs
   /// epoch-based copy-on-write checkpoints (em.cow_epochs forced on), and
   /// after each per-shard checkpoint the engine publishes an epoch-pinned
-  /// read view of the shard: queries route through the view's lock-free
-  /// read handles instead of taking the shard mutex, so readers scale with
-  /// threads while writers proceed on the live epoch. Works on every
-  /// backend, including kMem. A query finds no published view only before
-  /// the shard's first checkpoint (or when every handle is busy and
-  /// contention-free rotation fails) and falls back to the locked probe.
+  /// read view of the shard: queries route through the view's threads + 1
+  /// lock-free read handles instead of taking the shard mutex, so readers
+  /// scale with threads while writers proceed on the live epoch. Works on
+  /// every backend that can share a read view, including kMem. A query
+  /// finds no published view only before the shard's first checkpoint (or
+  /// when publication failed) and falls back to the locked probe.
   bool mvcc = false;
-
-  /// MVCC: read handles published per shard view. Each serves one query at
-  /// a time (rotation picks a free one). 0 derives threads + 1.
-  std::uint32_t mvcc_read_handles = 0;
 
   /// Whether the engine runs write-ahead logs at all.
   bool WalEnabled() const {

@@ -253,42 +253,32 @@ std::string ShardedTopkEngine::DumpMetrics() const {
   {
     std::shared_lock<std::shared_mutex> tl(topology_mu_);
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const auto& sh = shards_[i];
-      em::SpaceStats s;
-      if (snapshot_) {
-        for (const auto& rep : sh->replicas) {
-          std::lock_guard<std::mutex> g(rep->mu);
-          const em::IoStats io = rep->pager->stats();
-          io_errors += io.io_errors;
-          injected_faults += io.injected_faults;
-        }
-        std::lock_guard<std::mutex> g(sh->replicas[0]->mu);
-        s = sh->replicas[0]->pager->Space();
-        if (!sh->replicas[0]->pager->io_status().ok()) ++failed_shards;
-      } else {
-        std::lock_guard<std::mutex> g(sh->mu);
-        s = sh->pager->Space();
-        const em::IoStats io = sh->pager->stats();
-        io_errors += io.io_errors;
-        injected_faults += io.injected_faults;
-        if (!sh->pager->io_status().ok()) ++failed_shards;
-      }
+      const Shard& sh = *shards_[i];
+      const em::IoStats io = ShardIoStats(sh);
+      io_errors += io.io_errors;
+      injected_faults += io.injected_faults;
       // Per-shard Pager::Space() exposition: the gap between allocated and
       // file blocks is each shard's compactable high-water mark, and
       // file_blocks is what a replication bootstrap of this shard ships.
       const std::string shard_label = "shard=\"" + std::to_string(i) + "\"";
-      if (options_.mvcc && !snapshot_) {
-        // MVCC epoch health (DESIGN.md §14): the live (newest published)
-        // epoch, how many distinct epochs readers still pin (a stuck pin
-        // shows up as this gauge never draining), and the lifetime count of
-        // superseded blocks retirement handed back to the free list.
-        std::lock_guard<std::mutex> g(sh->mu);
-        r.GetGauge("tokra_engine_live_epoch", shard_label)
-            ->Set(static_cast<std::int64_t>(sh->pager->published_epoch()));
-        r.GetGauge("tokra_engine_pinned_epochs", shard_label)
-            ->Set(static_cast<std::int64_t>(sh->pager->PinnedEpochs()));
-        r.GetGauge("tokra_pager_retired_blocks_total", shard_label)
-            ->Set(static_cast<std::int64_t>(sh->pager->retired_blocks_total()));
+      em::SpaceStats s;
+      {
+        std::lock_guard<std::mutex> g(sh.mu);
+        s = sh.pager->Space();
+        if (!sh.pager->io_status().ok()) ++failed_shards;
+        if (options_.mvcc) {
+          // MVCC epoch health (DESIGN.md §14): the live (newest published)
+          // epoch, how many distinct epochs readers still pin (a stuck pin
+          // shows up as this gauge never draining), and the lifetime count
+          // of superseded blocks retirement handed back to the free list.
+          r.GetGauge("tokra_engine_live_epoch", shard_label)
+              ->Set(static_cast<std::int64_t>(sh.pager->published_epoch()));
+          r.GetGauge("tokra_engine_pinned_epochs", shard_label)
+              ->Set(static_cast<std::int64_t>(sh.pager->PinnedEpochs()));
+          r.GetGauge("tokra_pager_retired_blocks_total", shard_label)
+              ->Set(static_cast<std::int64_t>(
+                  sh.pager->retired_blocks_total()));
+        }
       }
       r.GetGauge("tokra_pager_space_allocated_blocks", shard_label)
           ->Set(static_cast<std::int64_t>(s.allocated_blocks));
@@ -543,7 +533,7 @@ Status ShardedTopkEngine::BuildShardsLocked(std::vector<Point> points) {
   // MVCC: publish each new shard's first epoch view now, so queries go
   // lock-free from the first request instead of waiting for a checkpoint.
   // (Failures leave view null; those shards serve via the locked fallback.)
-  if (options_.mvcc && !snapshot_) {
+  if (options_.mvcc) {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       std::lock_guard<std::mutex> g(shards_[i]->mu);
       PublishShardLocked(i, *shards_[i]);
@@ -774,7 +764,7 @@ StatusOr<std::vector<Point>> ShardedTopkEngine::TopKLocked(
   // per shard probe land in the tracer. Disabled, `timed` is false and no
   // clock is read.
   const bool timed = mset_.query_latency_us != nullptr;
-  obs::Tracer* tr = options_.telemetry.trace_queries ? tracer_.get() : nullptr;
+  obs::Tracer* tr = tracer_.get();
   const std::uint64_t t_start = timed ? obs::NowUs() : 0;
   obs::ScopedSpan query_span(tr, "query");
   const std::uint64_t root_id = query_span.id();
@@ -785,20 +775,23 @@ StatusOr<std::vector<Point>> ShardedTopkEngine::TopKLocked(
   std::vector<Status> statuses(q);
   std::vector<em::IoStats> deltas(q);
 
-  // MVCC (DESIGN.md §14): capture each overlapping shard's published view
-  // ONCE, up front, and use that same view for both routing and probing —
-  // the fence the router consults must describe the epoch the probe will
-  // read, or pruning could hide a point the view still holds. A null view
-  // (shard never published, or publication failed) routes on the live
-  // fence and probes under the shard mutex, exactly the pre-MVCC path.
-  const bool mvcc = options_.mvcc && !snapshot_;
+  // Views (MVCC epochs, DESIGN.md §14; snapshot shards, §8.3): capture each
+  // overlapping shard's published view ONCE, up front, and use that same
+  // view for both routing and probing — the fence the router consults must
+  // describe the image the probe will read, or pruning could hide a point
+  // the view still holds. Without a view (the shard never published, or
+  // publication failed) a shard routes on the live fence and probes under
+  // the shard mutex; an engine that publishes no views skips the loads.
   std::vector<std::shared_ptr<const ShardView>> views;
-  if (mvcc) {
+  if (options_.mvcc || snapshot_) {
     views.resize(q);
     for (std::size_t j = 0; j < q; ++j) {
-      views[j] = shards_[s1 + j]->view.load(std::memory_order_acquire);
+      views[j] = shards_[s1 + j]->LoadView();
     }
   }
+  auto view_of = [&](std::size_t j) -> const ShardView* {
+    return views.empty() ? nullptr : views[j].get();
+  };
 
   auto run_one = [&](std::size_t j, em::Pager* pager,
                      core::TopkIndex* index) {
@@ -828,46 +821,19 @@ StatusOr<std::vector<Point>> ShardedTopkEngine::TopKLocked(
     deltas[j] = pager->stats() - before;
   };
   auto run_shard = [&](std::size_t j) {
-    Shard& sh = *shards_[s1 + j];
-    if (snapshot_) {
-      // No per-shard write lock: claim any free read replica (rotating
-      // start so concurrent readers spread out), blocking on our rotation
-      // slot only if every replica is busy. Replicas are fully independent
-      // pagers over the same immutable mapping, so readers scale with the
-      // replica count while sharing every cached byte.
-      const std::size_t nrep = sh.replicas.size();
+    if (const ShardView* view = view_of(j)) {
+      // Lock-free read: claim any free handle of the captured view
+      // (rotating start so concurrent readers spread out), blocking on our
+      // rotation slot only if every handle is busy. The handle mutex
+      // serializes queries on ONE handle; the shard mutex — the writer's
+      // lock — is never touched.
+      const std::size_t nh = view->handles.size();
       const std::uint32_t start =
-          sh.next_replica.fetch_add(1, std::memory_order_relaxed);
-      Replica* rep = nullptr;
-      std::unique_lock<std::mutex> lk;
-      for (std::size_t t = 0; t < nrep && rep == nullptr; ++t) {
-        Replica* c = sh.replicas[(start + t) % nrep].get();
-        std::unique_lock<std::mutex> l(c->mu, std::try_to_lock);
-        if (l.owns_lock()) {
-          rep = c;
-          lk = std::move(l);
-        }
-      }
-      if (rep == nullptr) {
-        rep = sh.replicas[start % nrep].get();
-        lk = std::unique_lock<std::mutex>(rep->mu);
-      }
-      run_one(j, rep->pager.get(), rep->index.get());
-      return;
-    }
-    if (mvcc && views[j] != nullptr) {
-      // Lock-free epoch read: claim any free handle of the captured view
-      // (same rotation discipline as the snapshot replicas above). The
-      // handle mutex serializes queries on ONE handle; the shard mutex —
-      // the writer's lock — is never touched.
-      const ShardView& view = *views[j];
-      const std::size_t nh = view.handles.size();
-      const std::uint32_t start =
-          view.next.fetch_add(1, std::memory_order_relaxed);
+          view->next.fetch_add(1, std::memory_order_relaxed);
       ReadHandle* handle = nullptr;
       std::unique_lock<std::mutex> lk;
       for (std::size_t t = 0; t < nh && handle == nullptr; ++t) {
-        ReadHandle* c = view.handles[(start + t) % nh].get();
+        ReadHandle* c = view->handles[(start + t) % nh].get();
         std::unique_lock<std::mutex> l(c->mu, std::try_to_lock);
         if (l.owns_lock()) {
           handle = c;
@@ -875,19 +841,21 @@ StatusOr<std::vector<Point>> ShardedTopkEngine::TopKLocked(
         }
       }
       if (handle == nullptr) {
-        handle = view.handles[start % nh].get();
+        handle = view->handles[start % nh].get();
         lk = std::unique_lock<std::mutex>(handle->mu);
       }
       run_one(j, handle->pager.get(), handle->index.get());
       return;
     }
+    Shard& sh = *shards_[s1 + j];
     std::lock_guard<std::mutex> g(sh.mu);
     n_query_shard_locks_.fetch_add(1, std::memory_order_relaxed);
     run_one(j, sh.pager.get(), sh.index.get());
   };
 
   // ---- Fence routing (DESIGN.md §11) ----
-  // Consult each overlapping shard's fence under fence_mu only (never the
+  // Consult each overlapping shard's fence — the captured view's immutable
+  // snapshot (no lock), else the live fence under fence_mu only (never the
   // shard mutex, which in-flight probes hold for their whole duration):
   // provably-empty ranges and Bloom-missed point lookups are dropped here,
   // every survivor gets its best-possible-score upper bound.
@@ -900,38 +868,21 @@ StatusOr<std::vector<Point>> ShardedTopkEngine::TopKLocked(
   std::uint32_t fence_checks = 0, pruned = 0;
   const bool prune = options_.pruning.enabled;
   for (std::size_t j = 0; j < q; ++j) {
-    const Shard& sh = *shards_[s1 + j];
     double bound = kInf;
     if (prune) {
-      if (mvcc && views[j] != nullptr) {
-        // Route with the captured view's own fence snapshot (immutable, no
-        // lock): it describes exactly the epoch the probe will serve, so
-        // pruning stays answer-preserving for that epoch.
-        const ShardView& view = *views[j];
-        if (view.has_fence) {
-          ++fence_checks;
-          if (x1 == x2 && !view.fence.MightContain(x1)) {
-            ++pruned;
-            continue;
-          }
-          const sketch::FenceBound fb = view.fence.RangeBound(x1, x2);
-          if (!fb.maybe_nonempty) {
-            ++pruned;
-            continue;
-          }
-          bound = fb.best_score;
-        }
-        cands.push_back({j, bound});
-        continue;
-      }
-      std::lock_guard<std::mutex> fg(sh.fence_mu);
-      if (sh.has_fence) {
+      const Shard& sh = *shards_[s1 + j];
+      const ShardView* view = view_of(j);
+      std::unique_lock<std::mutex> fg;
+      if (view == nullptr) fg = std::unique_lock<std::mutex>(sh.fence_mu);
+      const sketch::ShardFence& fence =
+          view != nullptr ? view->fence : sh.fence;
+      if (view != nullptr ? view->has_fence : sh.has_fence) {
         ++fence_checks;
-        if (x1 == x2 && !sh.fence.MightContain(x1)) {
+        if (x1 == x2 && !fence.MightContain(x1)) {
           ++pruned;
           continue;
         }
-        const sketch::FenceBound fb = sh.fence.RangeBound(x1, x2);
+        const sketch::FenceBound fb = fence.RangeBound(x1, x2);
         if (!fb.maybe_nonempty) {
           ++pruned;
           continue;
@@ -1061,9 +1012,7 @@ void ShardedTopkEngine::ExecuteBatch(std::span<const Request> batch,
   out->clear();
   out->resize(batch.size());
   obs::ScopedTimer timer(mset_.batch_exec_us);
-  obs::ScopedSpan span(options_.telemetry.trace_queries ? tracer_.get()
-                                                        : nullptr,
-                       "batch");
+  obs::ScopedSpan span(tracer_.get(), "batch");
   std::shared_lock<std::shared_mutex> tl(topology_mu_);
   n_batches_.fetch_add(1, std::memory_order_relaxed);
 
@@ -1217,13 +1166,12 @@ Status ShardedTopkEngine::CheckpointLocked(
   // mismatch instead of silently dropping key ranges; root 3 is the
   // topology generation so Recover reconciles a half-renamed rebalance.
   //
-  // Clean shards are skipped (unless configured off): no update was
-  // accepted since their last checkpoint, so their file already holds
-  // byte-for-byte the state this checkpoint would write — same bound, same
-  // shard count, same generation (anything changing those rebuilds the
-  // shard, which marks it dirty). The dirty flag is cleared only after the
-  // shard's own durability barriers completed, so a failed checkpoint
-  // retries the shard next time.
+  // Clean shards are skipped: no update was accepted since their last
+  // checkpoint, so their file already holds byte-for-byte the state this
+  // checkpoint would write — same bound, same shard count, same generation
+  // (anything changing those rebuilds the shard, which marks it dirty). The
+  // dirty flag is cleared only after the shard's own durability barriers
+  // completed, so a failed checkpoint retries the shard next time.
   auto checkpoint_shard = [&](std::size_t i) -> Status {
     Status st = CheckpointShardLocked(i, *shards_[i], nullptr);
     // MVCC: a full checkpoint is also a publication point — refresh every
@@ -1271,8 +1219,7 @@ Status ShardedTopkEngine::CheckpointShardLocked(std::size_t i, Shard& sh,
   // chain below isn't pointlessly rewritten — the healthy shards still
   // checkpoint, and the first error is what the caller gets back.
   if (Status st = sh.pager->io_status(); !st.ok()) return st;
-  if (options_.skip_clean_shard_checkpoints &&
-      !sh.dirty.load(std::memory_order_relaxed)) {
+  if (!sh.dirty.load(std::memory_order_relaxed)) {
     // A clean shard's fence is also unchanged, so its old fence root (or
     // kNullBlock) is still exactly right.
     if (covered_lsn != nullptr) *covered_lsn = sh.pager->wal_checkpoint_lsn();
@@ -1309,7 +1256,7 @@ Status ShardedTopkEngine::CheckpointShardLocked(std::size_t i, Shard& sh,
 }
 
 void ShardedTopkEngine::PublishShardLocked(std::size_t i, Shard& sh) {
-  if (!options_.mvcc || snapshot_) return;
+  if (!options_.mvcc) return;
   if (!sh.pager->io_status().ok()) return;  // keep serving the old epoch
   // An epoch is a completed pager checkpoint: a dirty shard must commit one
   // before there is anything new to publish. (Note this is a PAGER-level
@@ -1322,28 +1269,31 @@ void ShardedTopkEngine::PublishShardLocked(std::size_t i, Shard& sh) {
   const std::uint64_t epoch = sh.pager->published_epoch();
   if (epoch == 0) return;  // nothing published yet (checkpoint skipped?)
   {
-    auto cur = sh.view.load(std::memory_order_acquire);
-    if (cur != nullptr && cur->epoch == epoch) return;  // already current
+    auto cur = sh.LoadView();
+    if (cur != nullptr && cur->pin.epoch() == epoch) return;  // current
   }
-  auto view = std::make_shared<ShardView>();
   // Pin before opening handles: the pin freezes every block this epoch
-  // references, so the handles below read an immutable image no matter how
-  // far the writer runs ahead. An abandoned publication (any failure below)
-  // destroys the view, which closes the handles and releases the pin.
-  view->pin = sh.pager->PinEpoch();
-  view->epoch = epoch;
+  // references, so the handles read an immutable image no matter how far
+  // the writer runs ahead.
+  StoreShardView(i, sh, sh.pager->PinEpoch());
+}
+
+void ShardedTopkEngine::StoreShardView(std::size_t i, Shard& sh,
+                                       em::EpochPin pin) const {
+  // An abandoned view (any failure below) is destroyed, which closes its
+  // handles and releases the pin.
+  auto view = std::make_shared<ShardView>();
+  view->pin = std::move(pin);
   {
     // The fence snapshot is taken under the same shard lock that applied
-    // the updates this epoch covers, so it describes the epoch exactly.
+    // the updates this view covers, so it describes the view exactly.
     std::lock_guard<std::mutex> fg(sh.fence_mu);
     if (sh.has_fence) {
       view->fence = sh.fence;
       view->has_fence = true;
     }
   }
-  const std::uint32_t nh = options_.mvcc_read_handles > 0
-                               ? options_.mvcc_read_handles
-                               : options_.threads + 1;
+  const std::uint32_t nh = options_.threads + 1;
   view->handles.reserve(nh);
   for (std::uint32_t h = 0; h < nh; ++h) {
     auto dev = sh.pager->ShareReadView();
@@ -1358,7 +1308,7 @@ void ShardedTopkEngine::PublishShardLocked(std::size_t i, Shard& sh) {
     handle->index = std::move(*idx);
     view->handles.push_back(std::move(handle));
   }
-  sh.view.store(std::move(view), std::memory_order_release);
+  sh.StoreView(std::move(view));
 }
 
 StatusOr<std::unique_ptr<ShardedTopkEngine>> ShardedTopkEngine::Recover(
@@ -1633,9 +1583,6 @@ StatusOr<std::unique_ptr<ShardedTopkEngine>> ShardedTopkEngine::OpenSnapshot(
       std::unique_ptr<ShardedTopkEngine>(new ShardedTopkEngine(options));
   engine->snapshot_ = true;
   const std::uint32_t s = options.num_shards;
-  const std::uint32_t nrep = options.snapshot_replicas > 0
-                                 ? options.snapshot_replicas
-                                 : options.threads + 1;
 
   std::vector<std::unique_ptr<Shard>> shards;
   std::vector<double> bounds;
@@ -1644,67 +1591,63 @@ StatusOr<std::unique_ptr<ShardedTopkEngine>> ShardedTopkEngine::OpenSnapshot(
   std::uint64_t gen = 0;
   for (std::uint32_t i = 0; i < s; ++i) {
     auto shard = std::make_unique<Shard>();
-    for (std::uint32_t r = 0; r < nrep; ++r) {
-      auto rep = std::make_unique<Replica>();
-      // engine->options_ rather than `options`: carries the EmMetrics sink.
-      TOKRA_ASSIGN_OR_RETURN(rep->pager,
-                             em::Pager::Open(engine->options_.ShardEm(i)));
-      if (r == 0) {
-        const auto& roots = rep->pager->roots();
-        if (roots.size() < kShardCheckpointRoots) {
-          return Status::FailedPrecondition("shard checkpoint missing roots");
-        }
-        if (roots[2] != s) {
-          return Status::FailedPrecondition(
-              "num_shards mismatch with checkpoint (have " +
-              std::to_string(s) + ", checkpointed " +
-              std::to_string(roots[2]) + ")");
-        }
-        if (i == 0) {
-          gen = roots[3];
-        } else if (roots[3] != gen) {
-          // Mixed generations mean an interrupted rebalance; repairing it
-          // writes, which a snapshot must never do.
-          return Status::FailedPrecondition(
-              "snapshot has an interrupted rebalance (mixed topology "
-              "generations); run Recover() on it first");
-        }
-        bounds.push_back(std::bit_cast<double>(roots[1]));
-        // A log tail past the stamped checkpoint means acknowledged
-        // updates this read-only snapshot could not serve, or torn
-        // in-place writes only undo can repair; both need a Recover()
-        // first — the same rule as the interrupted rebalance above.
-        //
-        // EXCEPT on a COW directory (DESIGN.md §14): copy-on-write
-        // checkpoints never overwrite a published epoch's blocks in place,
-        // so the stamped checkpoint is byte-intact regardless of what was
-        // written after it — no torn state exists for undo to repair, and
-        // the tail is merely newer epochs' work. Serving the file as-is IS
-        // pinning the last published epoch, which is exactly what a
-        // snapshot of a live-updating directory should do.
-        if (!rep->pager->cow_epochs()) {
-          TOKRA_RETURN_IF_ERROR(RequireNoWalTail(
-              options, i, rep->pager->wal_checkpoint_lsn(), "snapshot"));
-        }
-        // Pruning for read-only serving comes straight from checkpoint root
-        // 4; a snapshot never scans, so a fence-less checkpoint simply
-        // serves this shard unpruned (has_fence stays false).
-        if (options.pruning.enabled && roots[4] != em::kNullBlock) {
-          TOKRA_ASSIGN_OR_RETURN(
-              auto blob, ReadFenceChain(rep->pager.get(), roots[4]));
-          TOKRA_ASSIGN_OR_RETURN(shard->fence,
-                                 sketch::ShardFence::Deserialize(blob));
-          shard->has_fence = true;
-          shard->fence_root = roots[4];
-        }
-      }
-      TOKRA_ASSIGN_OR_RETURN(rep->index,
-                             core::TopkIndex::Open(rep->pager.get()));
-      shard->replicas.push_back(std::move(rep));
+    // engine->options_ rather than `options`: carries the EmMetrics sink.
+    TOKRA_ASSIGN_OR_RETURN(shard->pager,
+                           em::Pager::Open(engine->options_.ShardEm(i)));
+    const auto& roots = shard->pager->roots();
+    if (roots.size() < kShardCheckpointRoots) {
+      return Status::FailedPrecondition("shard checkpoint missing roots");
     }
-    shard->approx_size.store(shard->replicas[0]->index->size(),
-                             std::memory_order_relaxed);
+    if (roots[2] != s) {
+      return Status::FailedPrecondition(
+          "num_shards mismatch with checkpoint (have " + std::to_string(s) +
+          ", checkpointed " + std::to_string(roots[2]) + ")");
+    }
+    if (i == 0) {
+      gen = roots[3];
+    } else if (roots[3] != gen) {
+      // Mixed generations mean an interrupted rebalance; repairing it
+      // writes, which a snapshot must never do.
+      return Status::FailedPrecondition(
+          "snapshot has an interrupted rebalance (mixed topology "
+          "generations); run Recover() on it first");
+    }
+    bounds.push_back(std::bit_cast<double>(roots[1]));
+    // A log tail past the stamped checkpoint means acknowledged updates
+    // this read-only snapshot could not serve, or torn in-place writes only
+    // undo can repair; both need a Recover() first — the same rule as the
+    // interrupted rebalance above.
+    //
+    // EXCEPT on a COW directory (DESIGN.md §14): copy-on-write checkpoints
+    // never overwrite a published epoch's blocks in place, so the stamped
+    // checkpoint is byte-intact regardless of what was written after it —
+    // no torn state exists for undo to repair, and the tail is merely newer
+    // epochs' work. Serving the file as-is IS pinning the last published
+    // epoch, which is exactly what a snapshot of a live-updating directory
+    // should do.
+    if (!shard->pager->cow_epochs()) {
+      TOKRA_RETURN_IF_ERROR(RequireNoWalTail(
+          options, i, shard->pager->wal_checkpoint_lsn(), "snapshot"));
+    }
+    // Pruning for read-only serving comes straight from checkpoint root 4;
+    // a snapshot never scans, so a fence-less checkpoint simply serves this
+    // shard unpruned (has_fence stays false).
+    if (options.pruning.enabled && roots[4] != em::kNullBlock) {
+      TOKRA_ASSIGN_OR_RETURN(auto blob,
+                             ReadFenceChain(shard->pager.get(), roots[4]));
+      TOKRA_ASSIGN_OR_RETURN(shard->fence,
+                             sketch::ShardFence::Deserialize(blob));
+      shard->has_fence = true;
+      shard->fence_root = roots[4];
+    }
+    TOKRA_ASSIGN_OR_RETURN(shard->index,
+                           core::TopkIndex::Open(shard->pager.get()));
+    shard->approx_size.store(shard->index->size(), std::memory_order_relaxed);
     shard->dirty.store(false, std::memory_order_relaxed);
+    // The shard's one view, with no pin: nothing writes the files. A
+    // backend that cannot share a read view leaves it null, and the shard
+    // serves through the locked probe.
+    engine->StoreShardView(i, *shard, em::EpochPin{});
     shards.push_back(std::move(shard));
   }
   if (bounds[0] != -kInf || !std::is_sorted(bounds.begin(), bounds.end())) {
@@ -1803,20 +1746,28 @@ std::vector<double> ShardedTopkEngine::ShardLowerBounds() const {
   return lower_bounds_;
 }
 
+em::IoStats ShardedTopkEngine::ShardIoStats(const Shard& sh) const {
+  em::IoStats total;
+  {
+    std::lock_guard<std::mutex> g(sh.mu);
+    total = sh.pager->stats();
+  }
+  if (!snapshot_) return total;
+  // A snapshot's view is never replaced, so its handles' counters only
+  // grow; an MVCC view is rebuilt at every publication and is left out.
+  if (const auto view = sh.LoadView()) {
+    for (const auto& h : view->handles) {
+      std::lock_guard<std::mutex> g(h->mu);
+      total += h->pager->stats();
+    }
+  }
+  return total;
+}
+
 em::IoStats ShardedTopkEngine::AggregatedIoStats() const {
   std::shared_lock<std::shared_mutex> tl(topology_mu_);
   em::IoStats total;
-  for (const auto& sh : shards_) {
-    if (snapshot_) {
-      for (const auto& rep : sh->replicas) {
-        std::lock_guard<std::mutex> g(rep->mu);
-        total += rep->pager->stats();
-      }
-      continue;
-    }
-    std::lock_guard<std::mutex> g(sh->mu);
-    total += sh->pager->stats();
-  }
+  for (const auto& sh : shards_) total += ShardIoStats(*sh);
   return total;
 }
 
@@ -1824,15 +1775,8 @@ em::SpaceStats ShardedTopkEngine::AggregatedSpaceStats() const {
   std::shared_lock<std::shared_mutex> tl(topology_mu_);
   em::SpaceStats total;
   for (const auto& sh : shards_) {
-    em::SpaceStats s;
-    if (snapshot_) {
-      // Every replica views the same file; count each shard once.
-      std::lock_guard<std::mutex> g(sh->replicas[0]->mu);
-      s = sh->replicas[0]->pager->Space();
-    } else {
-      std::lock_guard<std::mutex> g(sh->mu);
-      s = sh->pager->Space();
-    }
+    std::lock_guard<std::mutex> g(sh->mu);
+    const em::SpaceStats s = sh->pager->Space();
     total.allocated_blocks += s.allocated_blocks;
     total.free_blocks += s.free_blocks;
     total.reserved_blocks += s.reserved_blocks;
@@ -1845,12 +1789,6 @@ std::uint64_t ShardedTopkEngine::BlocksInUse() const {
   std::shared_lock<std::shared_mutex> tl(topology_mu_);
   std::uint64_t total = 0;
   for (const auto& sh : shards_) {
-    if (snapshot_) {
-      // Every replica views the same file; count each shard once.
-      std::lock_guard<std::mutex> g(sh->replicas[0]->mu);
-      total += sh->replicas[0]->pager->BlocksInUse();
-      continue;
-    }
     std::lock_guard<std::mutex> g(sh->mu);
     total += sh->pager->BlocksInUse();
   }
@@ -1883,7 +1821,7 @@ void ShardedTopkEngine::CheckInvariants() const {
   bool skipped_failed = false;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     const Shard& sh = *shards_[i];
-    if (!snapshot_ && !sh.pager->io_status().ok()) {
+    if (!sh.pager->io_status().ok()) {
       // A failed shard has left service: after a revoked group whose
       // rollback could not complete, its live state may legitimately
       // disagree with the registry, so its checks (and the global totals
@@ -1891,10 +1829,8 @@ void ShardedTopkEngine::CheckInvariants() const {
       skipped_failed = true;
       continue;
     }
-    const core::TopkIndex* index =
-        snapshot_ ? sh.replicas[0]->index.get() : sh.index.get();
-    index->CheckInvariants();
-    std::uint64_t n = index->size();
+    sh.index->CheckInvariants();
+    std::uint64_t n = sh.index->size();
     TOKRA_CHECK_EQ(n, sh.approx_size.load(std::memory_order_relaxed));
     total += n;
     if (n == 0) {
@@ -1902,7 +1838,7 @@ void ShardedTopkEngine::CheckInvariants() const {
       if (sh.has_fence) sh.fence.CheckAgainst({});
       continue;
     }
-    auto r = index->TopK(-kInf, kInf, n);
+    auto r = sh.index->TopK(-kInf, kInf, n);
     TOKRA_CHECK(r.ok());
     TOKRA_CHECK_EQ(r->size(), n);
     // Fence soundness: exact count, every live point inside the fence's

@@ -134,7 +134,7 @@ struct EngineCounters {
   std::uint64_t query_waves = 0;    ///< dispatch waves across all queries
   std::uint64_t query_shard_locks = 0;  ///< shard-mutex acquisitions on the
                                         ///< query path; stays 0 while every
-                                        ///< probe rides an MVCC read view —
+                                        ///< probe rides a read view —
                                         ///< the lock-free-reads assertion
 };
 
@@ -163,22 +163,22 @@ class ShardedTopkEngine {
   static StatusOr<std::unique_ptr<ShardedTopkEngine>> Recover(
       EngineOptions options, RecoveryReport* report = nullptr);
 
-  /// Read-only snapshot serving mode: maps every checkpointed shard file
-  /// immutably (backend forced to kMmap read-only unless the caller picked
-  /// another file backend) and serves TopK without per-shard write locks —
-  /// each shard gets `snapshot_replicas` independent read handles and a
-  /// query claims any free one, so N readers scale instead of serializing
-  /// on one shard mutex. The zero-copy borrow path makes the OS page cache
-  /// the only real cache, shared across all replicas. Updates,
-  /// Checkpoint() and Rebalance() are refused (kFailedPrecondition) and
-  /// the files are never written. The files must stay quiescent while the
-  /// snapshot is open: the snapshot never writes, but a concurrent
-  /// *writer* to the same inodes (a live engine applying updates or
-  /// checkpointing in place) would mutate pages under the snapshot's
-  /// borrowed pointers mid-query. Serve a checkpointed directory whose
-  /// owner is idle or closed, or a copy shipped to a replica machine.
-  /// Unlike Recover() it never repairs an interrupted rebalance (that
-  /// would write); run Recover() first in that state.
+  /// Read-only snapshot serving mode: opens every checkpointed shard file
+  /// read-only (backend forced to kMmap unless the caller picked another
+  /// file backend) and publishes one read view per shard, exactly like an
+  /// MVCC engine's epoch views but never replaced: `threads + 1` read
+  /// handles over the shard's device, claimed by a rotating try-lock, so N
+  /// readers scale instead of serializing on one shard mutex. On kMmap the
+  /// handles borrow straight from one shared mapping, so the OS page cache
+  /// is the only real cache. Updates, Checkpoint() and Rebalance() are
+  /// refused (kFailedPrecondition) and the files are never written. The
+  /// files must stay quiescent while the snapshot is open: the snapshot
+  /// never writes, but a concurrent *writer* to the same inodes (a live
+  /// engine applying updates or checkpointing in place) would mutate pages
+  /// under the snapshot's borrowed pointers mid-query. Serve a checkpointed
+  /// directory whose owner is idle or closed, or a copy shipped to a
+  /// replica machine. Unlike Recover() it never repairs an interrupted
+  /// rebalance (that would write); run Recover() first in that state.
   static StatusOr<std::unique_ptr<ShardedTopkEngine>> OpenSnapshot(
       EngineOptions options);
 
@@ -260,7 +260,11 @@ class ShardedTopkEngine {
   std::vector<double> ShardLowerBounds() const;
 
   /// Sum of all shards' pager counters. Rebalance replaces shard pagers, so
-  /// the aggregate restarts from zero after one.
+  /// the aggregate restarts from zero after one. A snapshot's view handles
+  /// are counted too (they serve every probe, and its views never change,
+  /// so the sum stays monotone). An MVCC engine's view handles are not:
+  /// each publication replaces them, so its aggregate covers the writer's
+  /// live pagers only and omits lock-free probe reads.
   em::IoStats AggregatedIoStats() const;
   /// Sum of all shards' Pager::Space() — file_blocks is the volume a full
   /// replication bootstrap ships.
@@ -289,33 +293,25 @@ class ShardedTopkEngine {
   std::string DumpMetrics() const;
 
  private:
-  /// One independent read handle on a snapshot shard: its own pager (own
-  /// mmap of the shared file, own pool bookkeeping) + index view. mu
-  /// serializes queries on this handle only.
-  struct Replica {
-    std::unique_ptr<em::Pager> pager;
-    std::unique_ptr<core::TopkIndex> index;
-    std::mutex mu;
-  };
-
-  /// MVCC (options_.mvcc; DESIGN.md §14): one lock-free read handle inside a
-  /// published ShardView — a read-only pager over a shared read view of the
-  /// live shard's device, plus an index view opened on that pager. mu
-  /// serializes queries on this handle only (rotation finds a free one).
+  /// One lock-free read handle inside a published ShardView — a read-only
+  /// pager over a shared read view of the shard's device, plus an index
+  /// view opened on that pager. mu serializes queries on this handle only
+  /// (rotation finds a free one).
   struct ReadHandle {
     std::unique_ptr<em::Pager> pager;
     std::unique_ptr<core::TopkIndex> index;
     std::mutex mu;
   };
 
-  /// An immutable epoch of one shard, published after a per-shard checkpoint
-  /// and read without the shard mutex. The pin is declared FIRST so it is
-  /// released LAST: the handles' pagers read blocks the pin keeps alive
-  /// (retirement waits for the oldest pin), so they must close before the
-  /// pin returns those blocks to the writer's free list.
+  /// An immutable image of one shard, read without the shard mutex: an
+  /// MVCC epoch published after a per-shard checkpoint (DESIGN.md §14), or
+  /// a snapshot shard's only view (DESIGN.md §8.3). The pin is declared
+  /// FIRST so it is released LAST: the handles' pagers read blocks the pin
+  /// keeps alive (retirement waits for the oldest pin), so they must close
+  /// before the pin returns those blocks to the writer's free list. A
+  /// snapshot's pin is empty: nothing writes its files.
   struct ShardView {
     em::EpochPin pin;
-    std::uint64_t epoch = 0;
     // Fence snapshot taken at publication: the router prunes with the
     // view's own fence so routing decisions match the data the view serves
     // (the live fence may already reflect post-epoch updates).
@@ -337,10 +333,6 @@ class ShardedTopkEngine {
     // this shard. A clean shard's checkpoint is skipped (its file already
     // holds this exact state).
     std::atomic<bool> dirty{true};
-    // Snapshot mode only: pager/index above stay null and queries claim a
-    // free replica instead (see TopKLocked).
-    std::vector<std::unique_ptr<Replica>> replicas;
-    mutable std::atomic<std::uint32_t> next_replica{0};
     // Pruning sketch (DESIGN.md §11). fence_mu lets the router read bounds
     // without taking the shard mutex (which queries in flight hold for the
     // whole probe); updates touch the fence under BOTH mu and fence_mu, so
@@ -352,12 +344,27 @@ class ShardedTopkEngine {
     // Pager block chain holding the fence blob of the LAST checkpoint
     // (kNullBlock before the first); freed and rewritten by the next one.
     em::BlockId fence_root = em::kNullBlock;
-    // MVCC: the currently published epoch view (null before the first
-    // publication; queries then fall back to the locked probe). Declared
-    // LAST so it is destroyed FIRST — its handles' pagers alias this
-    // shard's device and its pin unregisters with this shard's pager, both
-    // of which must still be alive.
-    std::atomic<std::shared_ptr<const ShardView>> view;
+    // The currently published view when the engine publishes views (MVCC
+    // or snapshot); null before the first publication or when it failed,
+    // and queries then fall back to the locked probe. view_mu is held only
+    // to copy or replace the pointer, never across a probe. (libstdc++ 12's
+    // atomic<shared_ptr> load releases its internal lock with a relaxed
+    // store, which leaves the pointer read racing the next store.) `view`
+    // is declared LAST so it is destroyed FIRST — its handles' pagers alias
+    // this shard's device and its pin unregisters with this shard's pager,
+    // both of which must still be alive.
+    mutable std::mutex view_mu;
+    std::shared_ptr<const ShardView> view;
+
+    std::shared_ptr<const ShardView> LoadView() const {
+      std::lock_guard<std::mutex> g(view_mu);
+      return view;
+    }
+    /// Publishes `v`; the replaced view is released after view_mu drops.
+    void StoreView(std::shared_ptr<const ShardView> v) {
+      std::lock_guard<std::mutex> g(view_mu);
+      view.swap(v);
+    }
   };
 
   explicit ShardedTopkEngine(EngineOptions options);
@@ -441,11 +448,21 @@ class ShardedTopkEngine {
                                std::uint64_t* covered_lsn);
 
   /// MVCC: checkpoints shard `i` if dirty and publishes a fresh epoch view
-  /// (pin + read handles over a shared device read view). No-op unless
-  /// options_.mvcc on a live (non-snapshot) engine. Caller holds sh.mu.
-  /// Failures leave the previous view in place — readers just keep serving
-  /// the older epoch.
+  /// through StoreShardView. No-op unless options_.mvcc. Caller holds
+  /// sh.mu. Failures leave the previous view in place — readers just keep
+  /// serving the older epoch.
   void PublishShardLocked(std::size_t i, Shard& sh);
+
+  /// Builds shard `i`'s view — `pin`, a snapshot of the fence, and
+  /// threads + 1 read handles (ShareReadView -> Pager::OpenOn ->
+  /// TopkIndex::Open) — and publishes it with sh.StoreView. Leaves sh.view
+  /// untouched when the backend cannot share a read view or a handle fails
+  /// to open. Caller holds sh.mu (or owns sh before publication).
+  void StoreShardView(std::size_t i, Shard& sh, em::EpochPin pin) const;
+
+  /// sh's pager counters plus, on a snapshot, its view handles'. Takes
+  /// sh.mu and each handle's mu in turn.
+  em::IoStats ShardIoStats(const Shard& sh) const;
 
   EngineOptions options_;
   // Telemetry sits directly after options_ so it is destroyed LAST: shard
@@ -485,9 +502,9 @@ class ShardedTopkEngine {
       n_queries_{0}, n_rejected_{0}, n_batches_{0}, n_rebalances_{0};
   mutable std::atomic<std::uint64_t> n_shards_pruned_{0}, n_fence_checks_{0},
       n_query_waves_{0};
-  // Shard-mutex acquisitions by the query path. Non-MVCC engines count
-  // every probe here; MVCC engines count only locked fallbacks, so a test
-  // can assert 0 to prove every probe rode a published view.
+  // Shard-mutex acquisitions by the query path. Engines without views
+  // count every probe here; MVCC and snapshot engines count only locked
+  // fallbacks, so a test can assert 0 to prove every probe rode a view.
   mutable std::atomic<std::uint64_t> n_query_shard_locks_{0};
 };
 

@@ -252,7 +252,7 @@ TEST(WalPagerTest, OpenUndoesTornInterCheckpointWrites) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   for (int i = 0; i < kBlocks; ++i) {
     PageRef p = (*reopened)->Fetch(ids[i]);
-    EXPECT_EQ(p.Get(0), std::uint64_t{1000 + i}) << "block " << i;
+    EXPECT_EQ(p.Get(0), static_cast<std::uint64_t>(1000 + i)) << "block " << i;
   }
   // The recovered pager is fully live: mutate, checkpoint (which truncates
   // the log), and reopen once more.
