@@ -1,14 +1,11 @@
-// E13 — storage backends and the async batch pipeline:
-//   (a) the simulated I/O counts are backend- and queue-depth-independent
-//       (counting lives in the BlockDevice base class, so the EM-model cost
-//       of a workload is a property of the access sequence, not the medium
-//       or its scheduling);
-//   (b) wall-clock cost of cold- and warm-cache queries across a backend x
-//       batch-depth matrix: mem, file (sync pread), io_uring at queue
-//       depths 1/8/32 (plus registered buffers/fixed file), and mmap —
-//       the real-hardware payoff of batch submission on cold reads and of
-//       zero-copy borrowed reads on warm ones; every backend's results are
-//       checked byte-identical;
+// E13 — storage backends:
+//   (a) the simulated I/O counts are backend-independent (counting lives
+//       in the BlockDevice base class, so the EM-model cost of a workload
+//       is a property of the access sequence, not the medium);
+//   (b) wall-clock cost of cold- and warm-cache queries on mem, file
+//       (pread) and mmap — the real-hardware payoff of zero-copy borrowed
+//       reads on warm queries; every backend's results are checked
+//       byte-identical;
 //   (c) checkpoint + reopen round trip on the file backend;
 //   (d) serial vs parallel shard checkpoints on the sharded engine;
 //   (e) read-serving throughput of a read-only engine snapshot
@@ -41,8 +38,6 @@ constexpr int kReps = 3;
 struct BackendCfg {
   const char* name;
   em::Backend backend;
-  std::uint32_t queue_depth;
-  bool register_buffers = false;
 };
 
 struct RunResult {
@@ -80,8 +75,7 @@ RunResult RunWorkload(const em::EmOptions& opts) {
   res.build = pager.stats() - start;
 
   // The same deterministic query mix, cold (cache dropped per query) then
-  // warm (shared pool across queries). Large k drives the k/B term, which
-  // is exactly what batch submission overlaps.
+  // warm (shared pool across queries). Large k drives the k/B term.
   std::vector<std::array<double, 2>> ranges;
   std::vector<std::uint64_t> ks;
   for (int i = 0; i < kQueries; ++i) {
@@ -100,7 +94,7 @@ RunResult RunWorkload(const em::EmOptions& opts) {
   }
   // Cold means cold: drop the buffer pool AND the OS page cache, so a
   // file-backed read is a real device transfer — the cost the EM model
-  // charges for, and the latency that batch submission overlaps.
+  // charges for.
   em::IoStats before = pager.stats();
   res.cold_us = WallMicros([&] {
     for (int i = 0; i < kQueries; ++i) {
@@ -159,7 +153,7 @@ RunResult RunWorkload(const em::EmOptions& opts) {
 
 int main() {
   InitJson("e13");
-  std::printf("# E13: storage backends x batch depth — mem, file, io_uring\n");
+  std::printf("# E13: storage backends — mem, file, mmap\n");
 
   namespace fs = std::filesystem;
   fs::path dir = fs::temp_directory_path() /
@@ -167,20 +161,14 @@ int main() {
   fs::create_directories(dir);
 
   const std::vector<BackendCfg> cfgs = {
-      {"mem", em::Backend::kMem, 1},
-      {"file-sync", em::Backend::kFile, 1},
-      {"uring-qd1", em::Backend::kUring, 1},
-      {"uring-qd8", em::Backend::kUring, 8},
-      {"uring-qd32", em::Backend::kUring, 32},
-      {"uring-qd8-reg", em::Backend::kUring, 8, /*register_buffers=*/true},
-      {"mmap", em::Backend::kMmap, 1},
+      {"mem", em::Backend::kMem},
+      {"file-sync", em::Backend::kFile},
+      {"mmap", em::Backend::kMmap},
   };
   std::vector<RunResult> runs;
   for (const BackendCfg& cfg : cfgs) {
     em::EmOptions opts{.block_words = 256, .pool_frames = 64};
     opts.backend = cfg.backend;
-    opts.io_queue_depth = cfg.queue_depth;
-    opts.io_register_buffers = cfg.register_buffers;
     if (cfg.backend != em::Backend::kMem) {
       opts.path = (dir / (std::string("e13-") + cfg.name + ".blk")).string();
     }
@@ -446,8 +434,8 @@ int main() {
 
   fs::remove_all(dir);
   std::printf(
-      "\nShape check: E13a rows identical (incl. fingerprints); E13b uring "
-      "qd>=8 fastest cold, mmap fastest warm; E13d parallel beats serial; "
+      "\nShape check: E13a rows identical (incl. fingerprints); E13b mmap "
+      "fastest warm; E13d parallel beats serial; "
       "E13e kqueries/s grows with reader threads; E13f the wal modes "
       "survive a SIGKILL with zero lost updates (checkpoint-only needs a "
       "clean shutdown) at a modest append cost.\n");

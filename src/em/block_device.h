@@ -5,12 +5,10 @@
 #ifndef TOKRA_EM_BLOCK_DEVICE_H_
 #define TOKRA_EM_BLOCK_DEVICE_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -21,15 +19,6 @@
 #include "util/status.h"
 
 namespace tokra::em {
-
-/// One block transfer of a batch. `buf` must hold block_words() words; it is
-/// the destination of a read and the (unmodified) source of a write. The
-/// blocks of a batch need not be contiguous or sorted, and every transfer in
-/// a batch must target a distinct block.
-struct IoRequest {
-  BlockId id = kNullBlock;
-  word_t* buf = nullptr;
-};
 
 /// Abstract block disk.
 ///
@@ -137,43 +126,6 @@ class BlockDevice {
     }
   }
 
-  /// Reads every request of the batch and returns once all transfers have
-  /// completed. Counts one read I/O per block — the model's cost is the
-  /// number of transfers, not how they are scheduled — but backends may
-  /// keep many transfers in flight at once (io_uring), which is what makes
-  /// a top-k query's k/B leaf reads one device round trip instead of k/B.
-  /// The default implementation is the synchronous loop, so the batch API
-  /// is always available on every backend.
-  void SubmitReads(std::span<const IoRequest> reqs) {
-    if (reqs.empty()) return;
-    if (failed_) {
-      for (const IoRequest& r : reqs) Read(r.id, r.buf);
-      return;
-    }
-    for (const IoRequest& r : reqs) TOKRA_CHECK(r.id < NumBlocks());
-    reads_ += reqs.size();
-    DoReadBatch(reqs);
-  }
-
-  /// Writes every request of the batch (growing the device as needed) and
-  /// returns once all transfers have completed. Counts one write I/O per
-  /// block; backends may overlap the member transfers.
-  void SubmitWrites(std::span<const IoRequest> reqs) {
-    if (reqs.empty()) return;
-    if (failed_) {
-      for (const IoRequest& r : reqs) Write(r.id, r.buf);
-      return;
-    }
-    BlockId max_id = 0;
-    for (const IoRequest& r : reqs) max_id = std::max(max_id, r.id);
-    EnsureCapacity(max_id + 1);
-    writes_ += reqs.size();
-    DoWriteBatch(reqs);
-    if (failed_) {
-      for (const IoRequest& r : reqs) OverlayCapture(r.id, r.buf);
-    }
-  }
-
   /// Whether TryBorrowRead can ever succeed on this device. The buffer pool
   /// checks once at construction to enable its borrowed-frame mode.
   virtual bool SupportsBorrowedReads() const { return false; }
@@ -193,14 +145,6 @@ class BlockDevice {
     const word_t* p = DoBorrowRead(id);
     if (p != nullptr) ++reads_;
     return p;
-  }
-
-  /// Hint: `bufs` are long-lived block-sized I/O buffers (the pool's
-  /// frames) that future Submit batches will target. Backends may
-  /// pre-register them with the kernel (io_uring registered buffers); the
-  /// default ignores the hint. Never affects results or I/O counts.
-  virtual void RegisterIoBuffers(std::span<word_t* const> bufs) {
-    (void)bufs;
   }
 
   /// Extends the device to back at least `blocks` blocks (zero-filled).
@@ -291,20 +235,6 @@ class BlockDevice {
     if (io_status_.ok()) io_status_ = std::move(error);
   }
 
-  /// Post-failure overlay (see Write). Protected so backends whose batch
-  /// paths detect failure mid-transfer can capture intended contents too.
-  void OverlayCapture(BlockId id, const word_t* src) {
-    auto& slot = overlay_[id];
-    slot.assign(src, src + block_words_);
-  }
-  bool OverlayLookup(BlockId id, word_t* dst) const {
-    auto it = overlay_.find(id);
-    if (it == overlay_.end()) return false;
-    std::memcpy(dst, it->second.data(),
-                std::size_t{block_words_} * sizeof(word_t));
-    return true;
-  }
-
   virtual void DoRead(BlockId id, word_t* dst) = 0;
   virtual void DoWrite(BlockId id, const word_t* src) = 0;
   virtual void DoReadRun(BlockId first, std::uint32_t count, word_t* dst) {
@@ -322,14 +252,21 @@ class BlockDevice {
     (void)id;
     return nullptr;
   }
-  virtual void DoReadBatch(std::span<const IoRequest> reqs) {
-    for (const IoRequest& r : reqs) DoRead(r.id, r.buf);
-  }
-  virtual void DoWriteBatch(std::span<const IoRequest> reqs) {
-    for (const IoRequest& r : reqs) DoWrite(r.id, r.buf);
-  }
 
  private:
+  /// Post-failure overlay (see Write).
+  void OverlayCapture(BlockId id, const word_t* src) {
+    auto& slot = overlay_[id];
+    slot.assign(src, src + block_words_);
+  }
+  bool OverlayLookup(BlockId id, word_t* dst) const {
+    auto it = overlay_.find(id);
+    if (it == overlay_.end()) return false;
+    std::memcpy(dst, it->second.data(),
+                std::size_t{block_words_} * sizeof(word_t));
+    return true;
+  }
+
   std::uint32_t block_words_;
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;

@@ -45,7 +45,7 @@ std::uint32_t BufferPool::TryFindVictim() {
   return kNoFrame;
 }
 
-void BufferPool::EvictFrame(std::uint32_t v, std::vector<IoRequest>* batch) {
+void BufferPool::EvictFrame(std::uint32_t v) {
   Frame& f = frames_[v];
   if (!f.valid) return;
   // A borrowed frame never owns modified bytes (mutation upgrades it to an
@@ -53,21 +53,8 @@ void BufferPool::EvictFrame(std::uint32_t v, std::vector<IoRequest>* batch) {
   // the mapping — it is dropped bookkeeping, not a transfer.
   TOKRA_DCHECK(!(f.dirty && f.ext != nullptr));
   if (f.dirty) {
-    if (batch != nullptr) {
-      batch->push_back(IoRequest{f.id, f.buf.data()});
-    } else {
-      // The requester is stalled on this write-back before it can reuse
-      // the frame: the eviction stall (batched victims are timed at their
-      // SubmitWrites in BatchLoad instead).
-      obs::ScopedTimer stall(evict_stall_us_);
-      if (barrier_ != nullptr) {
-        const BlockId id = f.id;  // the barrier speaks logical ids
-        barrier_->BeforeHomeWrite({&id, 1});
-      }
-      device_->Write(
-          xlate_ != nullptr ? xlate_->RedirectWrite(f.id) : f.id,
-          f.buf.data());
-    }
+    pending_ids_.push_back(f.id);
+    pending_bufs_.push_back(f.buf.data());
     ++stats_.writes;
   }
   map_.erase(f.id);
@@ -75,6 +62,43 @@ void BufferPool::EvictFrame(std::uint32_t v, std::vector<IoRequest>* batch) {
   LruRemove(v);
   f.valid = false;
   f.ext = nullptr;
+}
+
+void BufferPool::Claim(std::uint32_t v, BlockId id) {
+  Frame& f = frames_[v];
+  f.id = id;
+  f.valid = true;
+  f.dirty = false;
+  f.pins = 1;
+  LruPushFront(v);
+  map_[id] = v;
+}
+
+void BufferPool::WriteBack() {
+  if (pending_ids_.empty()) return;
+  if (barrier_ != nullptr) barrier_->BeforeHomeWrite(pending_ids_);
+  // Redirect after the barrier: pre-images are about logical blocks, the
+  // transfer is about physical locations.
+  for (std::size_t i = 0; i < pending_ids_.size(); ++i) {
+    const BlockId id = pending_ids_[i];
+    device_->Write(xlate_ != nullptr ? xlate_->RedirectWrite(id) : id,
+                   pending_bufs_[i]);
+  }
+  pending_ids_.clear();
+  pending_bufs_.clear();
+}
+
+void BufferPool::Load(std::uint32_t v) {
+  Frame& f = frames_[v];
+  // The device transfer uses the physical location; the frame stays keyed
+  // by the logical id the caller pinned.
+  const BlockId phys = xlate_ != nullptr ? xlate_->TranslateRead(f.id) : f.id;
+  if (borrow_ && (f.ext = device_->TryBorrowRead(phys)) != nullptr) {
+    ++stats_.borrows;  // zero-copy: the frame needs no buffer at all
+  } else {
+    device_->Read(phys, OwnedBuf(f));
+  }
+  ++stats_.reads;
 }
 
 std::uint32_t BufferPool::Pin(BlockId id, PinMode mode) {
@@ -89,122 +113,55 @@ std::uint32_t BufferPool::Pin(BlockId id, PinMode mode) {
   }
   ++stats_.pool_misses;
   std::uint32_t v = FindVictim();
-  EvictFrame(v, nullptr);
-  Frame& f = frames_[v];
-  f.id = id;
-  f.valid = true;
-  f.dirty = false;
-  f.pins = 1;
-  LruPushFront(v);
+  EvictFrame(v);
+  {
+    // The requester is stalled on a dirty victim's write-back before it
+    // can reuse the frame: the eviction stall.
+    obs::ScopedTimer stall(pending_ids_.empty() ? nullptr : evict_stall_us_);
+    WriteBack();
+  }
+  Claim(v, id);
   if (mode == PinMode::kRead) {
-    // The device transfer uses the physical location; the frame stays keyed
-    // by the logical id the caller pinned.
-    const BlockId phys = xlate_ != nullptr ? xlate_->TranslateRead(id) : id;
-    if (borrow_ && (f.ext = device_->TryBorrowRead(phys)) != nullptr) {
-      ++stats_.borrows;  // zero-copy: the frame needs no buffer at all
-    } else {
-      device_->Read(phys, OwnedBuf(f));
-    }
-    ++stats_.reads;
+    Load(v);
   } else {
+    Frame& f = frames_[v];
     word_t* buf = OwnedBuf(f);
     std::fill(buf, buf + device_->block_words(), 0);
     // A created frame is dirty by definition: its zeros are new content.
     f.dirty = true;
   }
-  map_[id] = v;
   return v;
 }
 
-void BufferPool::BatchLoad(std::span<const BlockId> ids, bool pin,
-                           std::vector<std::uint32_t>* out) {
-  if (out != nullptr) {
-    out->clear();
-    out->reserve(ids.size());
-  }
-  // Two deferred batches: dirty victims out, then missing blocks in. The
-  // frame buffers are victim-to-newcomer 1:1 and SubmitWrites completes
-  // before SubmitReads starts, so a buffer is never overwritten before its
-  // old contents reached the device.
-  std::vector<IoRequest> write_batch, read_batch;
-  std::vector<std::uint32_t> unpin_after;  // prefetch: temporary pins
+void BufferPool::Prefetch(std::span<const BlockId> ids) {
+  // Claim a frame per miss first, queueing the dirty victims; then write
+  // them all back; only then read the misses. A victim's buffer is reused
+  // by exactly one newcomer, whose read lands after the victim's bytes
+  // reached the device.
+  loads_.clear();
   for (BlockId id : ids) {
     TOKRA_CHECK(id != kNullBlock);
     auto it = map_.find(id);
     if (it != map_.end()) {
-      Frame& f = frames_[it->second];
-      if (pin) {
-        ++f.pins;
-        ++stats_.pool_hits;
-      }
       LruTouch(it->second);
-      if (out != nullptr) out->push_back(it->second);
       continue;
     }
-    std::uint32_t v = pin ? FindVictim() : TryFindVictim();
-    if (v == kNoFrame) continue;  // prefetch is a hint: skip when pins fill the pool
-    EvictFrame(v, &write_batch);
-    Frame& f = frames_[v];
-    f.id = id;
-    f.valid = true;
-    f.dirty = false;
-    // The pin also protects the frame from being chosen as a victim later
-    // in this same batch; prefetched frames give it back below.
-    f.pins = 1;
-    if (!pin) unpin_after.push_back(v);
-    LruPushFront(v);
-    map_[id] = v;
-    // Borrowed misses need no device round trip at all — the pointer grab
-    // IS the transfer; only copying misses join the read batch. Borrowing
-    // before the deferred victim write-backs is safe even if a victim of
-    // this very batch held this block: the pointer is a view of the page
-    // cache, so it observes the write-back the moment SubmitWrites below
-    // completes — before any caller can dereference it.
-    const BlockId phys = xlate_ != nullptr ? xlate_->TranslateRead(id) : id;
-    if (borrow_ && (f.ext = device_->TryBorrowRead(phys)) != nullptr) {
-      ++stats_.borrows;
-      ++stats_.reads;
-    } else {
-      read_batch.push_back(IoRequest{phys, OwnedBuf(f)});
-    }
-    if (pin) {
-      ++stats_.pool_misses;
-    } else {
-      ++stats_.prefetched;
-    }
-    if (out != nullptr) out->push_back(v);
+    std::uint32_t v = TryFindVictim();
+    if (v == kNoFrame) continue;  // a hint: skip when pins fill the pool
+    EvictFrame(v);
+    Claim(v, id);
+    loads_.push_back(v);
+    ++stats_.prefetched;
   }
   {
-    // The whole batch stalls on its victims' write-backs before the reads
-    // can land in their frames: one eviction-stall sample per batch that
-    // actually wrote (clean batches skip the timer entirely).
-    obs::ScopedTimer stall(write_batch.empty() ? nullptr : evict_stall_us_);
-    if (barrier_ != nullptr && !write_batch.empty()) {
-      std::vector<BlockId> ids;
-      ids.reserve(write_batch.size());
-      for (const IoRequest& r : write_batch) ids.push_back(r.id);
-      barrier_->BeforeHomeWrite(ids);
-    }
-    // Redirect after the barrier: pre-images are about logical blocks, the
-    // transfer is about physical locations.
-    if (xlate_ != nullptr) {
-      for (IoRequest& r : write_batch) r.id = xlate_->RedirectWrite(r.id);
-    }
-    device_->SubmitWrites(write_batch);
+    // One eviction-stall sample per call that actually wrote.
+    obs::ScopedTimer stall(pending_ids_.empty() ? nullptr : evict_stall_us_);
+    WriteBack();
   }
-  device_->SubmitReads(read_batch);
-  stats_.reads += read_batch.size();
-  for (std::uint32_t v : unpin_after) frames_[v].pins = 0;
-}
-
-void BufferPool::PinMany(std::span<const BlockId> ids,
-                         std::vector<std::uint32_t>* out) {
-  TOKRA_CHECK(out != nullptr);
-  BatchLoad(ids, /*pin=*/true, out);
-}
-
-void BufferPool::Prefetch(std::span<const BlockId> ids) {
-  BatchLoad(ids, /*pin=*/false, nullptr);
+  for (std::uint32_t v : loads_) {
+    Load(v);
+    frames_[v].pins = 0;
+  }
 }
 
 void BufferPool::Unpin(std::uint32_t frame, bool dirty) {
@@ -219,25 +176,15 @@ void BufferPool::Unpin(std::uint32_t frame, bool dirty) {
 }
 
 void BufferPool::FlushAll() {
-  // One batch submission for all dirty frames (still one write I/O each).
-  std::vector<IoRequest> batch;
   for (Frame& f : frames_) {
     if (f.valid && f.dirty) {
-      batch.push_back(IoRequest{f.id, f.buf.data()});
+      pending_ids_.push_back(f.id);
+      pending_bufs_.push_back(f.buf.data());
       ++stats_.writes;
       f.dirty = false;
     }
   }
-  if (barrier_ != nullptr && !batch.empty()) {
-    std::vector<BlockId> ids;
-    ids.reserve(batch.size());
-    for (const IoRequest& r : batch) ids.push_back(r.id);
-    barrier_->BeforeHomeWrite(ids);
-  }
-  if (xlate_ != nullptr) {
-    for (IoRequest& r : batch) r.id = xlate_->RedirectWrite(r.id);
-  }
-  device_->SubmitWrites(batch);
+  WriteBack();
 }
 
 void BufferPool::DropAll() {

@@ -62,10 +62,12 @@ class BlockTranslator {
 /// order is unchanged — least recently *pinned* first, pinned frames
 /// skipped.
 ///
-/// PinMany/Prefetch are the batched entry points: all misses of a call are
-/// coalesced into one SubmitWrites (dirty victims) + one SubmitReads batch,
-/// so a query that knows its next k/B blocks pays one device round trip,
-/// not k/B sequential ones.
+/// Every write-back — a dirty victim of Pin or Prefetch, or FlushAll —
+/// goes through one routine in a fixed order: the write barrier on the
+/// logical ids, then the translator's redirect, then the transfer. A missed
+/// block's location is resolved (TranslateRead, TryBorrowRead) only after
+/// the write-backs of its own call have run, so a block evicted and re-read
+/// by the same Prefetch comes back from where its write-back just put it.
 ///
 /// Borrowed-frame mode (devices with SupportsBorrowedReads, i.e. kMmap):
 /// a read pin that misses borrows a pointer straight into the device
@@ -90,14 +92,8 @@ class BufferPool {
         borrow_(device->SupportsBorrowedReads()) {
     TOKRA_CHECK(num_frames >= 2);
     if (!borrow_) {
-      // Copying pools allocate every frame up front, which also gives the
-      // device stable buffers to pre-register (io_uring registered
-      // buffers; a hint only, no-op on other backends).
+      // Copying pools allocate every frame up front.
       for (Frame& f : frames_) f.buf.resize(device_->block_words(), 0);
-      std::vector<word_t*> bufs;
-      bufs.reserve(num_frames);
-      for (Frame& f : frames_) bufs.push_back(f.buf.data());
-      device_->RegisterIoBuffers(bufs);
     }
     // Borrow-capable pools allocate frame buffers lazily (OwnedBuf): a
     // frame that only ever borrows stays allocation-free, so a read-only
@@ -106,21 +102,21 @@ class BufferPool {
     // 0, 1, 2, ... exactly like the former first-invalid-index scan.
     free_.reserve(num_frames);
     for (std::uint32_t i = num_frames; i > 0; --i) free_.push_back(i - 1);
+    // A call evicts at most one victim per frame: the scratch below never
+    // grows past this, so the miss path allocates nothing.
+    pending_ids_.reserve(num_frames);
+    pending_bufs_.reserve(num_frames);
+    loads_.reserve(num_frames);
   }
 
   /// Pins the block, returning its frame index.
   std::uint32_t Pin(BlockId id, PinMode mode);
 
-  /// Pins every block of `ids` for reading, coalescing all misses into one
-  /// batched eviction write + one batched read (hits and misses count as in
-  /// Pin). out->at(i) is the frame of ids[i]; duplicates pin once per
-  /// occurrence. The caller's pin budget covers the whole span.
-  void PinMany(std::span<const BlockId> ids, std::vector<std::uint32_t>* out);
-
-  /// Loads any of `ids` not already cached into the pool as one batched
-  /// read, without pinning: subsequent Pins of these blocks are hits. A
-  /// hint — blocks that do not fit next to the current pins are skipped.
-  /// Counts IoStats::prefetched (plus device reads), never pool misses.
+  /// Loads any of `ids` not already cached into the pool without pinning:
+  /// subsequent Pins of these blocks are hits. Dirty victims are written
+  /// back first, then the missing blocks are read. A hint — blocks that do
+  /// not fit next to the current pins are skipped. Counts
+  /// IoStats::prefetched (plus device reads), never pool misses.
   void Prefetch(std::span<const BlockId> ids);
 
   /// Releases one pin; `dirty` marks the frame as modified.
@@ -149,8 +145,7 @@ class BufferPool {
     return frames_[frame].ext != nullptr;
   }
 
-  /// Writes back all dirty frames (each one write I/O, one batch submission).
-  /// Frames stay cached.
+  /// Writes back all dirty frames (each one write I/O). Frames stay cached.
   void FlushAll();
 
   /// Flushes and empties the pool — used to measure cold-cache costs.
@@ -217,11 +212,23 @@ class BufferPool {
     return v;
   }
 
-  /// Evicts the (unpinned) victim if valid. With `write_batch` != nullptr a
-  /// dirty victim's write-back is deferred into the batch (the frame buffer
-  /// stays untouched until the batch is submitted); otherwise it is written
-  /// immediately.
-  void EvictFrame(std::uint32_t v, std::vector<IoRequest>* write_batch);
+  /// Evicts the (unpinned) victim if valid. A dirty victim's write-back is
+  /// queued (its buffer stays untouched until WriteBack runs).
+  void EvictFrame(std::uint32_t v);
+
+  /// Takes frame `v` for block `id` with one pin (the pin also keeps a
+  /// later miss of the same call from choosing it as a victim).
+  void Claim(std::uint32_t v, BlockId id);
+
+  /// The only write-back path: runs the write barrier on the queued
+  /// logical ids, then redirects and writes each block, then clears the
+  /// queue. No-op when nothing is queued.
+  void WriteBack();
+
+  /// Fills claimed frame `v` with its block's current contents: borrows
+  /// on borrow-capable devices, else reads into the owned buffer. Runs
+  /// after WriteBack, so the location it resolves is current.
+  void Load(std::uint32_t v);
 
   /// The frame's owned buffer, allocated on first need (borrow-capable
   /// pools skip the up-front allocation; frames that only ever borrow
@@ -230,10 +237,6 @@ class BufferPool {
     if (f.buf.empty()) f.buf.resize(device_->block_words(), 0);
     return f.buf.data();
   }
-
-  /// Shared implementation of PinMany (pin=true) and Prefetch (pin=false).
-  void BatchLoad(std::span<const BlockId> ids, bool pin,
-                 std::vector<std::uint32_t>* out);
 
   BlockDevice* device_;
   WriteBarrier* barrier_ = nullptr;
@@ -245,6 +248,11 @@ class BufferPool {
   std::vector<std::uint32_t> free_;  // invalid frames, popped from the back
   std::uint32_t lru_head_ = kNoFrame;
   std::uint32_t lru_tail_ = kNoFrame;
+  // Write-back queue of the current call: the logical ids of the dirty
+  // blocks and, index for index, the frame buffers holding their bytes.
+  std::vector<BlockId> pending_ids_;
+  std::vector<const word_t*> pending_bufs_;
+  std::vector<std::uint32_t> loads_;  // Prefetch: frames claimed for a read
   IoStats stats_;
 };
 

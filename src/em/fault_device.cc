@@ -90,14 +90,6 @@ void FaultInjectingBlockDevice::DoWriteRun(BlockId first, std::uint32_t count,
   }
 }
 
-void FaultInjectingBlockDevice::DoReadBatch(std::span<const IoRequest> reqs) {
-  for (const IoRequest& r : reqs) DoRead(r.id, r.buf);
-}
-
-void FaultInjectingBlockDevice::DoWriteBatch(std::span<const IoRequest> reqs) {
-  for (const IoRequest& r : reqs) DoWrite(r.id, r.buf);
-}
-
 const word_t* FaultInjectingBlockDevice::DoBorrowRead(BlockId id) {
   {
     std::lock_guard<std::mutex> lock(mu_);

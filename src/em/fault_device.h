@@ -201,9 +201,6 @@ class FaultInjectingBlockDevice final : public BlockDevice {
   bool SupportsBorrowedReads() const override {
     return inner_->SupportsBorrowedReads();
   }
-  void RegisterIoBuffers(std::span<word_t* const> bufs) override {
-    inner_->RegisterIoBuffers(bufs);
-  }
 
   /// The wrapper's own sticky error (injected) or, failing that, the
   /// wrapped backend's (real).
@@ -228,8 +225,6 @@ class FaultInjectingBlockDevice final : public BlockDevice {
   void DoReadRun(BlockId first, std::uint32_t count, word_t* dst) override;
   void DoWriteRun(BlockId first, std::uint32_t count,
                   const word_t* src) override;
-  void DoReadBatch(std::span<const IoRequest> reqs) override;
-  void DoWriteBatch(std::span<const IoRequest> reqs) override;
   const word_t* DoBorrowRead(BlockId id) override;
 
  private:

@@ -2,7 +2,6 @@
 
 #include "em/fault_device.h"
 #include "em/mmap_block_device.h"
-#include "em/uring_block_device.h"
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -191,22 +190,6 @@ std::unique_ptr<BlockDevice> MakeBlockDevice(const EmOptions& options,
       device = std::make_unique<MemBlockDevice>(options.block_words);
       break;
     case Backend::kFile:
-      device =
-          std::make_unique<FileBlockDevice>(options.block_words, file_options);
-      break;
-    case Backend::kUring:
-      // Compile-time gate (kernel header present) + runtime probe (this
-      // kernel grants rings); either failing falls back to the synchronous
-      // file device — same file format, same I/O counts, batches served by
-      // the base-class loop — so kUring is always safe to request.
-#if defined(TOKRA_HAVE_URING)
-      if (UringBlockDevice::Supported()) {
-        device = std::make_unique<UringBlockDevice>(
-            options.block_words, file_options, options.io_queue_depth,
-            options.io_register_buffers);
-        break;
-      }
-#endif
       device =
           std::make_unique<FileBlockDevice>(options.block_words, file_options);
       break;

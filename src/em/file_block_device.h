@@ -24,10 +24,6 @@ namespace tokra::em {
 /// Reads and writes use explicit offsets on one fd, so concurrent access to
 /// *distinct* blocks is safe; callers serialize per-block access (the buffer
 /// pool already does).
-///
-/// UringBlockDevice subclasses this to reuse the file lifecycle (open,
-/// growth, fsync) and the synchronous single-transfer path, overriding only
-/// the batch entry points with ring submission.
 class FileBlockDevice : public BlockDevice {
  public:
   struct FileOptions {

@@ -19,7 +19,7 @@ struct IoStats {
   std::uint64_t pool_hits = 0;    ///< pins served from the buffer pool
   std::uint64_t pool_misses = 0;  ///< pins requiring a device read
   std::uint64_t evictions = 0;    ///< frames evicted (clean or dirty)
-  std::uint64_t prefetched = 0;   ///< blocks loaded by Prefetch/PinMany batches
+  std::uint64_t prefetched = 0;   ///< blocks loaded by Prefetch
   std::uint64_t borrows = 0;      ///< zero-copy reads served as borrowed
                                   ///< pointers into the device mapping (each
                                   ///< also counted in `reads`: the logical

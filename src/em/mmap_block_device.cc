@@ -68,11 +68,6 @@ void MmapBlockDevice::DoReadRun(BlockId first, std::uint32_t count,
   std::memcpy(dst, BlockPtr(first), count * BlockBytes());
 }
 
-void MmapBlockDevice::DoReadBatch(std::span<const IoRequest> reqs) {
-  // No ring to overlap on: a batch over the mapping is the memcpy loop.
-  for (const IoRequest& r : reqs) DoRead(r.id, r.buf);
-}
-
 const word_t* MmapBlockDevice::DoBorrowRead(BlockId id) {
   return map_ == nullptr ? nullptr : BlockPtr(id);
 }

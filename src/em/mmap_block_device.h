@@ -18,7 +18,7 @@ namespace tokra::em {
 /// new pages accessible in place, so a pointer handed out by
 /// TryBorrowRead stays valid for the device's whole lifetime — no remap
 /// ever happens, which is what makes borrowed frames safe to cache in the
-/// buffer pool. Copying reads (Read/ReadRun/batches) memcpy from the
+/// buffer pool. Copying reads (Read/ReadRun) memcpy from the
 /// mapping instead of pread, and TryBorrowRead returns the mapping address
 /// itself: a warm query's leaf reads become pointer handouts backed by the
 /// page cache, the memcpy into a pool frame gone.
@@ -56,7 +56,6 @@ class MmapBlockDevice final : public FileBlockDevice {
  protected:
   void DoRead(BlockId id, word_t* dst) override;
   void DoReadRun(BlockId first, std::uint32_t count, word_t* dst) override;
-  void DoReadBatch(std::span<const IoRequest> reqs) override;
   const word_t* DoBorrowRead(BlockId id) override;
 
  private:

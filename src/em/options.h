@@ -43,8 +43,6 @@ inline constexpr std::uint32_t kMinBlockWords = kSuperblockHeaderWords + 1;
 enum class Backend {
   kMem,    ///< in-memory simulation (volatile; the original seed behaviour)
   kFile,   ///< pread/pwrite on a regular file (durable across restarts)
-  kUring,  ///< file backend with io_uring batch submission (falls back to
-           ///< kFile at runtime when the kernel lacks io_uring support)
   kMmap,   ///< file backend serving reads from a shared mapping: warm reads
            ///< borrow pointers into the OS page cache (zero-copy) instead of
            ///< copying into pool frames; writes stay on the pwrite path
@@ -103,12 +101,6 @@ struct EmOptions {
   /// checkpointed in COW mode reopens in COW mode regardless of this flag.
   bool cow_epochs = false;
 
-  /// kUring: submission-queue depth of the ring — the number of block
-  /// transfers a SubmitReads/SubmitWrites batch keeps in flight at once.
-  /// Depth 1 degenerates to the synchronous path (one transfer at a time);
-  /// other backends ignore it.
-  std::uint32_t io_queue_depth = 32;
-
   /// When non-empty, the pager runs a write-ahead log on this file (a
   /// sibling of `path`, e.g. `shard-0.wal`): every home-file write between
   /// checkpoints is preceded by an undo pre-image append, Checkpoint()
@@ -133,14 +125,6 @@ struct EmOptions {
   /// `durable_sync` for the home file.
   bool wal_fsync = false;
 
-  /// kUring: pre-register the buffer pool's frames
-  /// (IORING_REGISTER_BUFFERS) and the device fd (IORING_REGISTER_FILES)
-  /// with the ring, so batch transfers skip the per-op pin/lookup the
-  /// kernel otherwise does. Runtime-probed: when the kernel refuses the
-  /// registration (memlock limits, old kernel), the device silently keeps
-  /// the unregistered submission path. Other backends ignore it.
-  bool io_register_buffers = false;
-
   /// Optional telemetry sink (see EmMetrics). Copied by value through
   /// ShardEm-style specializations, so one engine-owned struct reaches
   /// every shard's pager, pool, and log.
@@ -161,7 +145,6 @@ struct EmOptions {
     // read_only + kMem is only reachable through Pager::OpenOn (an epoch
     // read view aliasing a live in-memory device); Pager::Open still
     // refuses kMem with a proper Status.
-    TOKRA_CHECK(io_queue_depth >= 1);
     // A read-only pager must not own a log: scanning is fine (WalReader),
     // but attaching one implies undo writes on open and appends later.
     TOKRA_CHECK(wal_path.empty() || !read_only);

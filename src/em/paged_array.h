@@ -78,8 +78,8 @@ class PagedArray {
   }
 
   /// Reads [begin, end) touching each backing block once. A multi-block
-  /// range is prefetched first, so the misses become one batched device
-  /// submission instead of one read per block. Each block's records are
+  /// range is prefetched first, so its misses are loaded (and their dirty
+  /// victims written back) in one pool call. Each block's records are
   /// copied out with one memcpy from the read-only page view — on a
   /// borrowed (mmap) frame that view is the device mapping itself, so the
   /// only copy left on the whole path is mapping -> caller vector.

@@ -245,13 +245,12 @@ class Pager : private WriteBarrier, private BlockTranslator {
     return PageRef(&pool_, pool_.Pin(id, BufferPool::PinMode::kCreate));
   }
 
-  /// Loads any uncached blocks of `ids` into the pool as one batched device
-  /// submission, without pinning: the Fetches that follow become pool hits.
-  /// A hint (blocks that do not fit next to the current pins are skipped),
-  /// so it never changes results — only how transfers are scheduled. This is
-  /// the pager's one batched entry point: hint-then-Fetch keeps the O(1)
-  /// pin budget of every algorithm intact, where a pin-them-all API would
-  /// tie correctness to the frame count.
+  /// Loads any uncached blocks of `ids` into the pool without pinning: the
+  /// Fetches that follow become pool hits. A hint (blocks that do not fit
+  /// next to the current pins are skipped), so it never changes results —
+  /// only when transfers happen. Hint-then-Fetch keeps the O(1) pin budget
+  /// of every algorithm intact, where a pin-them-all API would tie
+  /// correctness to the frame count.
   void Prefetch(std::span<const BlockId> ids) { pool_.Prefetch(ids); }
 
   /// Flushes the pool and serializes allocator state plus `roots` — an

@@ -215,13 +215,9 @@ std::uint64_t WriteAheadLog::Append(RecordType type,
   scratch_[kFrWCrc] = Crc32(std::span<const word_t>(
       scratch_.data(), kFrameHeaderWords + payload.size()));
 
-  // One vectored submission for the whole frame — the group-commit write.
-  std::vector<IoRequest> reqs;
-  reqs.reserve(frame_blocks);
-  for (std::uint64_t i = 0; i < frame_blocks; ++i) {
-    reqs.push_back(IoRequest{tail_block_ + i, scratch_.data() + i * b});
-  }
-  device_->SubmitWrites(reqs);
+  // One run write for the whole contiguous frame — the group-commit write.
+  device_->WriteRun(tail_block_, static_cast<std::uint32_t>(frame_blocks),
+                    scratch_.data());
   records_.push_back(Record{lsn, type, tail_block_,
                             static_cast<std::uint32_t>(payload.size())});
   head_lsn_ = lsn;

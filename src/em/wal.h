@@ -16,8 +16,8 @@
 //     checkpoint, reconstructing every acknowledged update.
 //
 // Frames are block-aligned: a record occupies whole log blocks, written as
-// one SubmitWrites batch (one vectored submission on backends that overlap
-// transfers), optionally followed by one fsync — group commit is one append
+// one WriteRun (one pwrite on the file backend), optionally followed by one
+// fsync — group commit is one append
 // plus one barrier no matter how many updates the batch carried. A torn
 // tail (crash mid-append, byte flip) is detected by magic/CRC/LSN checks at
 // open: the valid prefix is kept and the tail is dropped, which is exactly
@@ -97,7 +97,7 @@ class WriteAheadLog {
   /// read-only mode).
   static StatusOr<std::unique_ptr<WriteAheadLog>> Open(Options options);
 
-  /// Appends one record, returning its LSN. One SubmitWrites batch of
+  /// Appends one record, returning its LSN. One WriteRun of
   /// ceil((header + payload) / block_words) log blocks; durability follows
   /// Sync().
   std::uint64_t Append(RecordType type, std::span<const word_t> payload);

@@ -3,7 +3,6 @@
 #ifndef TOKRA_ENGINE_OPTIONS_H_
 #define TOKRA_ENGINE_OPTIONS_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -54,12 +53,6 @@ struct TelemetryOptions {
   /// Queries at or above this total latency are captured in the slow-query
   /// log with their stage breakdown and per-shard IoStats deltas.
   std::uint64_t slow_query_us = 10'000;
-
-  /// Span slots the tracer ring retains (rounded up to a power of two).
-  std::size_t trace_capacity = 4096;
-
-  /// Entries the slow-query log retains (oldest evicted).
-  std::size_t slow_query_capacity = 64;
 };
 
 /// Sketch-guided shard pruning (see src/sketch/shard_fence.h and
@@ -72,13 +65,6 @@ struct PruningOptions {
   /// Master switch. Off, fences are neither built nor persisted and every
   /// query fans out to all overlapping shards (the pre-fence behaviour).
   bool enabled = true;
-
-  /// Max-weight sub-ranges per shard fence.
-  std::uint32_t fence_slots = 64;
-
-  /// Bloom bits per key at fence (re)build time; 0 disables the point-query
-  /// filter while keeping range fences.
-  std::uint32_t bloom_bits_per_key = 8;
 
   /// Shards dispatched per wave on the parallel path: after each wave the
   /// router re-checks the frontier before paying for the next. 0 derives
@@ -101,7 +87,8 @@ struct EngineOptions {
   /// batched per-shard update groups.
   std::uint32_t threads = 4;
 
-  /// EM model parameters for each shard's private pager.
+  /// EM model parameters for each shard's private pager. `em.cow_epochs`
+  /// is not read: ShardEm overwrites it with `mvcc`.
   em::EmOptions em;
 
   /// Telemetry switches. The engine owns the registry/tracer/slow-query
@@ -111,7 +98,7 @@ struct EngineOptions {
 
   /// When non-empty, every shard runs on its own backing file
   /// `<storage_dir>/shard-<i>.tokra` (em.backend is promoted from kMem to
-  /// kFile; a kUring choice is kept), which makes Checkpoint()/Recover()
+  /// kFile; a kMmap choice is kept), which makes Checkpoint()/Recover()
   /// available: the whole engine persists across process restarts. The
   /// directory must already exist.
   std::string storage_dir;
@@ -130,9 +117,11 @@ struct EngineOptions {
   bool parallel_checkpoint = true;
 
   /// Serve-while-updating MVCC (DESIGN.md §14). Every shard pager runs
-  /// epoch-based copy-on-write checkpoints (em.cow_epochs forced on), and
-  /// after each per-shard checkpoint the engine publishes an epoch-pinned
-  /// read view of the shard: queries route through the view's threads + 1
+  /// epoch-based copy-on-write checkpoints (ShardEm sets em.cow_epochs to
+  /// this flag, so it is the engine's only COW switch: COW without
+  /// published views is not an engine mode), and after each per-shard
+  /// checkpoint the engine publishes an epoch-pinned read view of the
+  /// shard: queries route through the view's threads + 1
   /// lock-free read handles instead of taking the shard mutex, so readers
   /// scale with threads while writers proceed on the live epoch. Works on
   /// every backend that can share a read view, including kMem. A query
@@ -158,7 +147,7 @@ struct EngineOptions {
     em::EmOptions o = em;
     // Before the storage_dir block so memory-backed MVCC engines work too:
     // a pager-level COW checkpoint needs no file, only the epoch protocol.
-    if (mvcc) o.cow_epochs = true;
+    o.cow_epochs = mvcc;
     if (!storage_dir.empty()) {
       if (o.backend == em::Backend::kMem) o.backend = em::Backend::kFile;
       o.path = storage_dir + "/shard-" + std::to_string(shard) + ".tokra";
@@ -203,7 +192,6 @@ struct EngineOptions {
     TOKRA_CHECK(!WalEnabled() || !storage_dir.empty());
     TOKRA_CHECK(em.block_words >=
                 em::kSuperblockHeaderWords + kShardCheckpointRoots);
-    TOKRA_CHECK(pruning.fence_slots >= 1);
     ShardEm(0).Validate();
   }
 };

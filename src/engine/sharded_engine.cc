@@ -25,6 +25,16 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// both the shard file and, under a WAL durability mode, its log.
 constexpr char kRebuildSuffix[] = ".rebuild";
 
+/// Span slots the tracer ring retains (a power of two) and entries the
+/// slow-query log retains (oldest evicted).
+constexpr std::size_t kTraceCapacity = 4096;
+constexpr std::size_t kSlowQueryCapacity = 64;
+
+/// Shard fence shape at every (re)build: max-weight sub-ranges (64 cost
+/// ~1 KiB per shard) and Bloom bits per key.
+constexpr sketch::ShardFenceOptions kFenceOptions{.fence_slots = 64,
+                                                  .bloom_bits_per_key = 8};
+
 /// Refuses to serve shard `shard` of `storage_dir` WITHOUT its log when
 /// the log holds ANY record past `stamp`: logical records are acknowledged
 /// updates a WAL-less open would hide, and pre-images are evidence of torn
@@ -136,7 +146,6 @@ const char* BackendName(em::Backend b) {
   switch (b) {
     case em::Backend::kMem: return "mem";
     case em::Backend::kFile: return "file";
-    case em::Backend::kUring: return "uring";
     case em::Backend::kMmap: return "mmap";
   }
   return "unknown";
@@ -197,10 +206,9 @@ ShardedTopkEngine::ShardedTopkEngine(EngineOptions options)
 void ShardedTopkEngine::InitTelemetry() {
   if (!options_.telemetry.enabled) return;
   metrics_ = std::make_unique<obs::MetricsRegistry>();
-  tracer_ = std::make_unique<obs::Tracer>(options_.telemetry.trace_capacity);
+  tracer_ = std::make_unique<obs::Tracer>(kTraceCapacity);
   slow_log_ = std::make_unique<obs::SlowQueryLog>(
-      options_.telemetry.slow_query_us,
-      options_.telemetry.slow_query_capacity);
+      options_.telemetry.slow_query_us, kSlowQueryCapacity);
   obs::MetricsRegistry& r = *metrics_;
   // Naming convention (DESIGN.md §10): tokra_<subsystem>_<what>_<unit>;
   // per-stage histograms share one family with a stage label.
@@ -424,10 +432,7 @@ Status ShardedTopkEngine::BuildShardsLocked(std::vector<Point> points) {
     if (options_.pruning.enabled) {
       // Fresh fence per (re)build: rebuilds are where stale slot maxima and
       // grown-loose key bounds are tightened back to exact.
-      sketch::ShardFenceOptions fo;
-      fo.fence_slots = options_.pruning.fence_slots;
-      fo.bloom_bits_per_key = options_.pruning.bloom_bits_per_key;
-      shard->fence = sketch::ShardFence::Build(chunks[i], fo);
+      shard->fence = sketch::ShardFence::Build(chunks[i], kFenceOptions);
       shard->has_fence = true;
     }
     auto idx = core::TopkIndex::Build(shard->pager.get(),
@@ -1528,10 +1533,7 @@ StatusOr<std::unique_ptr<ShardedTopkEngine>> ShardedTopkEngine::Recover(
       // No persisted fence (checkpoint predates pruning, or it was off):
       // rebuild one from the scan we already paid for.
       if (options.pruning.enabled && !shard->has_fence) {
-        sketch::ShardFenceOptions fo;
-        fo.fence_slots = options.pruning.fence_slots;
-        fo.bloom_bits_per_key = options.pruning.bloom_bits_per_key;
-        shard->fence = sketch::ShardFence::Build(*r, fo);
+        shard->fence = sketch::ShardFence::Build(*r, kFenceOptions);
         shard->has_fence = true;
       }
     } else if (options.pruning.enabled && !shard->has_fence) {
@@ -1566,7 +1568,7 @@ StatusOr<std::unique_ptr<ShardedTopkEngine>> ShardedTopkEngine::OpenSnapshot(
     return Status::InvalidArgument("OpenSnapshot requires a storage_dir");
   }
   // Default serving backend is the zero-copy mapping; a caller picking
-  // kFile/kUring explicitly still gets a read-only snapshot, just with
+  // kFile explicitly still gets a read-only snapshot, just with
   // copying reads. Everything is opened O_RDONLY — this never writes; the
   // caller must keep the files quiescent (no live engine writing them)
   // for as long as the snapshot serves.

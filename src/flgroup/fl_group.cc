@@ -10,7 +10,7 @@ namespace tokra::flgroup {
 namespace {
 
 /// Serialized words -> block list (each block holds B words of the stream).
-/// The touched prefix of the block list is prefetched as one batch — these
+/// The touched prefix of the block list is prefetched in one call — these
 /// streams (sketches, Lemma 8 prefix tables) are the group walks on the
 /// small-k query path.
 std::vector<em::word_t> ReadWordStream(em::Pager* pager,

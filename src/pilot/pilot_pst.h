@@ -122,10 +122,9 @@ class PilotPst {
   TNodeRec LoadTNode(const TRef& t) const;
   void StoreTNode(const TRef& t, const TNodeRec& rec);
   std::vector<Point> PilotRead(const TNodeRec& rec) const;
-  /// Batch-loads the occupied pilot blocks of every record into the pool as
-  /// one device submission, so the PilotReads that follow hit the cache —
-  /// this is what turns a query's k/B pilot-leaf reads into one round trip.
-  /// Takes the (ref, record) pairs the query paths already hold.
+  /// Prefetches the occupied pilot blocks of every record into the pool in
+  /// one call, so the PilotReads that follow hit the cache. Takes the
+  /// (ref, record) pairs the query paths already hold.
   void PrefetchPilots(std::span<const std::pair<TRef, TNodeRec>> recs) const;
   /// Rewrites the pilot set of `t` and refreshes count/rep in its record.
   void PilotWrite(const TRef& t, TNodeRec* rec, const std::vector<Point>& pts);

@@ -233,7 +233,7 @@ Status PilotPst::Report3Sided(double x1, double x2, double y,
   if (size() == 0) return Status::Ok();
   // Breadth-first waves instead of a DFS stack: every node a wave will
   // report from is known before any pilot set is read, so each level's
-  // pilot blocks go to the device as one batch (the reported set — and
+  // pilot blocks are prefetched in one call (the reported set — and
   // thus the I/O count — is identical; only the emission order changes,
   // and every caller selects/sorts afterwards).
   std::vector<std::pair<TRef, TNodeRec>> live;

@@ -1,7 +1,8 @@
-// Batched-I/O pipeline tests: the SubmitReads/SubmitWrites device API,
-// buffer-pool PinMany/Prefetch semantics, backend parity (Mem / File /
-// Uring produce identical logical I/O counts and oracle-identical query
-// results), and parallel-vs-serial engine checkpoint equivalence.
+// Pool-to-device transfer tests: device round trips and run counts, buffer-
+// pool Prefetch semantics (including write-back before re-read on a COW
+// pager), mmap borrowed pins, backend parity (Mem / File / Mmap produce
+// identical logical I/O counts and oracle-identical query results), and
+// parallel-vs-serial engine checkpoint equivalence.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -16,7 +17,6 @@
 #include "em/file_block_device.h"
 #include "em/mmap_block_device.h"
 #include "em/pager.h"
-#include "em/uring_block_device.h"
 #include "engine/sharded_engine.h"
 #include "internal/naive.h"
 #include "util/point.h"
@@ -53,164 +53,81 @@ std::vector<Point> MakePoints(Rng* rng, std::size_t n) {
   return pts;
 }
 
-/// All file-capable backends available in this build/kernel. kUring is
-/// always requestable — MakeBlockDevice falls back to the sync file device
-/// when rings are unavailable — so listing it unconditionally also tests
-/// the fallback path on kernels without io_uring; kMmap likewise falls back
-/// to plain file reads if the kernel refuses the mapping.
+/// The file-backed backends: copying reads (kFile) and borrowed reads
+/// (kMmap, which falls back to plain file reads if the kernel refuses the
+/// mapping).
 std::vector<em::Backend> FileBackends() {
-  return {em::Backend::kFile, em::Backend::kUring, em::Backend::kMmap};
+  return {em::Backend::kFile, em::Backend::kMmap};
 }
 
 // ---------------------------------------------------------------------------
-// Device batch API
+// Device transfers
 
-TEST(BatchDeviceTest, SubmitBatchRoundTripEveryBackend) {
+TEST(DeviceTransferTest, ScatteredRoundTripEveryBackend) {
   TempDir dir("roundtrip");
-  for (em::Backend backend : {em::Backend::kMem, em::Backend::kFile,
-                              em::Backend::kUring, em::Backend::kMmap}) {
+  for (em::Backend backend :
+       {em::Backend::kMem, em::Backend::kFile, em::Backend::kMmap}) {
     em::EmOptions opts{.block_words = 16, .pool_frames = 4};
     opts.backend = backend;
     opts.path = dir.File("rt-" + std::to_string(static_cast<int>(backend)));
-    opts.io_queue_depth = 4;  // smaller than the batch: forces multiple waves
     auto dev = em::MakeBlockDevice(opts, /*truncate_file=*/true);
 
-    // Scattered, unsorted batch of 11 distinct blocks.
+    // Scattered, unsorted writes of 11 distinct blocks, each one I/O.
     constexpr std::uint32_t kCount = 11;
+    std::vector<em::BlockId> ids;
     std::vector<std::vector<em::word_t>> bufs(kCount);
-    std::vector<em::IoRequest> writes;
     for (std::uint32_t i = 0; i < kCount; ++i) {
-      em::BlockId id = (i * 7 + 3) % 23;
+      ids.push_back((i * 7 + 3) % 23);
       bufs[i].assign(16, 0);
-      for (std::uint32_t w = 0; w < 16; ++w) bufs[i][w] = id * 100 + w;
-      writes.push_back(em::IoRequest{id, bufs[i].data()});
+      for (std::uint32_t w = 0; w < 16; ++w) bufs[i][w] = ids[i] * 100 + w;
+      dev->Write(ids[i], bufs[i].data());
     }
-    dev->SubmitWrites(writes);
     EXPECT_EQ(dev->writes(), kCount);
 
-    std::vector<std::vector<em::word_t>> got(kCount);
-    std::vector<em::IoRequest> reads;
+    std::vector<em::word_t> got(16);
     for (std::uint32_t i = 0; i < kCount; ++i) {
-      got[i].assign(16, ~em::word_t{0});
-      reads.push_back(em::IoRequest{writes[i].id, got[i].data()});
+      std::fill(got.begin(), got.end(), ~em::word_t{0});
+      dev->Read(ids[i], got.data());
+      EXPECT_EQ(got, bufs[i]);
     }
-    dev->SubmitReads(reads);
     EXPECT_EQ(dev->reads(), kCount);
-    for (std::uint32_t i = 0; i < kCount; ++i) EXPECT_EQ(got[i], bufs[i]);
-
-    // Empty batches are free.
-    dev->SubmitReads({});
-    dev->SubmitWrites({});
-    EXPECT_EQ(dev->reads(), kCount);
-    EXPECT_EQ(dev->writes(), kCount);
   }
 }
 
-TEST(BatchDeviceTest, BatchCountsMatchSequentialLoop) {
+TEST(DeviceTransferTest, RunCountsMatchPerBlockLoop) {
   TempDir dir("counts");
   for (em::Backend backend : FileBackends()) {
     em::EmOptions opts{.block_words = 16, .pool_frames = 4};
     opts.backend = backend;
     opts.path = dir.File("cnt-" + std::to_string(static_cast<int>(backend)));
-    auto batch_dev = em::MakeBlockDevice(opts, true);
+    auto run_dev = em::MakeBlockDevice(opts, true);
     opts.path += ".seq";
     auto seq_dev = em::MakeBlockDevice(opts, true);
 
-    std::vector<std::vector<em::word_t>> bufs(8);
-    std::vector<em::IoRequest> reqs;
-    for (std::uint32_t i = 0; i < 8; ++i) {
-      bufs[i].assign(16, i);
-      reqs.push_back(em::IoRequest{i * 3, bufs[i].data()});
+    constexpr std::uint32_t kCount = 8;
+    std::vector<em::word_t> src(kCount * 16);
+    for (std::size_t w = 0; w < src.size(); ++w) src[w] = w;
+    run_dev->WriteRun(5, kCount, src.data());
+    for (std::uint32_t i = 0; i < kCount; ++i) {
+      seq_dev->Write(5 + i, src.data() + i * 16);
     }
-    batch_dev->SubmitWrites(reqs);
-    batch_dev->SubmitReads(reqs);
-    for (const em::IoRequest& r : reqs) seq_dev->Write(r.id, r.buf);
-    for (const em::IoRequest& r : reqs) seq_dev->Read(r.id, r.buf);
+    std::vector<em::word_t> run_got(src.size()), seq_got(src.size());
+    run_dev->ReadRun(5, kCount, run_got.data());
+    for (std::uint32_t i = 0; i < kCount; ++i) {
+      seq_dev->Read(5 + i, seq_got.data() + i * 16);
+    }
 
     // The model charges per block transferred, however it is scheduled.
-    EXPECT_EQ(batch_dev->reads(), seq_dev->reads());
-    EXPECT_EQ(batch_dev->writes(), seq_dev->writes());
-    EXPECT_EQ(batch_dev->NumBlocks(), seq_dev->NumBlocks());
+    EXPECT_EQ(run_got, src);
+    EXPECT_EQ(seq_got, src);
+    EXPECT_EQ(run_dev->reads(), seq_dev->reads());
+    EXPECT_EQ(run_dev->writes(), seq_dev->writes());
+    EXPECT_EQ(run_dev->NumBlocks(), seq_dev->NumBlocks());
   }
 }
-
-#if defined(TOKRA_HAVE_URING)
-TEST(BatchDeviceTest, UringDeviceSelectedWhenSupported) {
-  if (!em::UringBlockDevice::Supported()) {
-    GTEST_SKIP() << "kernel does not grant io_uring";
-  }
-  TempDir dir("probe");
-  em::EmOptions opts{.block_words = 16, .pool_frames = 4};
-  opts.backend = em::Backend::kUring;
-  opts.path = dir.File("probe.blk");
-  opts.io_queue_depth = 8;
-  auto dev = em::MakeBlockDevice(opts, true);
-  auto* uring = dynamic_cast<em::UringBlockDevice*>(dev.get());
-  ASSERT_NE(uring, nullptr);
-  EXPECT_GE(uring->queue_depth(), 1u);
-}
-
-TEST(BatchDeviceTest, RegisteredBuffersRoundTrip) {
-  if (!em::UringBlockDevice::Supported()) {
-    GTEST_SKIP() << "kernel does not grant io_uring";
-  }
-  TempDir dir("regbuf");
-  em::EmOptions opts{.block_words = 16, .pool_frames = 8};
-  opts.backend = em::Backend::kUring;
-  opts.path = dir.File("regbuf.blk");
-  opts.io_queue_depth = 8;
-  opts.io_register_buffers = true;
-  auto dev = em::MakeBlockDevice(opts, true);
-  auto* uring = dynamic_cast<em::UringBlockDevice*>(dev.get());
-  ASSERT_NE(uring, nullptr);
-
-  // The pool registers its frames at construction; whether the kernel
-  // accepted is advisory (memlock limits may refuse) — the round trip must
-  // be byte-identical either way, mixing registered (frame) buffers and
-  // unregistered (scratch) ones in the same batches.
-  em::BufferPool pool(dev.get(), 8);
-  std::vector<em::word_t> zeros(16, 0);
-  for (em::BlockId id = 0; id < 13; ++id) dev->Write(id, zeros.data());
-  std::vector<em::BlockId> ids{0, 3, 6, 9, 12};
-  std::vector<std::uint32_t> frames;
-  pool.PinMany(ids, &frames);  // frame buffers through the ring (reads)
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    pool.FrameData(frames[i])[0] = 4000 + ids[i];
-    pool.Unpin(frames[i], true);
-  }
-  pool.FlushAll();  // frame buffers through the ring (writes)
-
-  std::vector<em::word_t> scratch(16, 0);  // unregistered buffer
-  for (em::BlockId id : ids) {
-    dev->Read(id, scratch.data());
-    EXPECT_EQ(scratch[0], 4000 + id);
-  }
-  std::printf("registered: buffers=%d file=%d\n",
-              uring->buffers_registered() ? 1 : 0,
-              uring->file_registered() ? 1 : 0);
-}
-#endif
 
 // ---------------------------------------------------------------------------
 // Buffer-pool batching
-
-TEST(BufferPoolBatchTest, PinManyCoalescesMissesAndPinsEverything) {
-  em::MemBlockDevice dev(8);
-  dev.EnsureCapacity(32);
-  em::BufferPool pool(&dev, 8);
-  std::vector<em::BlockId> ids{4, 9, 2, 17, 9};  // one duplicate
-  std::vector<std::uint32_t> frames;
-  pool.PinMany(ids, &frames);
-  ASSERT_EQ(frames.size(), ids.size());
-  EXPECT_EQ(dev.reads(), 4u);  // duplicate served from the batch's own load
-  EXPECT_EQ(pool.stats().pool_misses, 4u);
-  EXPECT_EQ(pool.stats().pool_hits, 1u);
-  EXPECT_EQ(frames[1], frames[4]);  // same block, same frame, two pins
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    EXPECT_EQ(pool.FrameBlock(frames[i]), ids[i]);
-    pool.Unpin(frames[i], false);
-  }
-}
 
 TEST(BufferPoolBatchTest, PrefetchedBlocksAreByteIdenticalToColdPins) {
   TempDir dir("prefetch");
@@ -282,18 +199,54 @@ TEST(BufferPoolBatchTest, BatchEvictionWritesBackDirtyVictims) {
     pool.FrameData(f)[0] = 7 + id;
     pool.Unpin(f, true);
   }
-  // A 4-block PinMany evicts all four dirty frames as one write batch.
-  std::vector<em::BlockId> ids{10, 11, 12, 13};
-  std::vector<std::uint32_t> frames;
-  pool.PinMany(ids, &frames);
+  // A 4-block Prefetch evicts all four dirty frames and writes them back.
+  pool.Prefetch(std::vector<em::BlockId>{10, 11, 12, 13});
   EXPECT_EQ(dev.writes(), 4u);
   EXPECT_EQ(pool.stats().evictions, 4u);
-  for (std::uint32_t f : frames) pool.Unpin(f, false);
   // The written-back contents are intact.
   for (em::BlockId id = 0; id < 4; ++id) {
     std::uint32_t f = pool.Pin(id, em::BufferPool::PinMode::kRead);
     EXPECT_EQ(pool.FrameData(f)[0], 7 + id);
     pool.Unpin(f, false);
+  }
+}
+
+// A COW pager redirects a checkpoint-live block's write-back to a fresh
+// location. When a Prefetch evicts such a dirty block and the same id list
+// then misses on it, the re-read must come from where the write-back just
+// put the block, not from its superseded location. Copying (kFile) and
+// borrowing (kMmap) pools resolve the location on different paths.
+TEST(BufferPoolBatchTest, PrefetchRereadOfEvictedCowBlockSeesNewContents) {
+  TempDir dir("cow-reread");
+  for (em::Backend backend : FileBackends()) {
+    SCOPED_TRACE(backend == em::Backend::kFile ? "kFile" : "kMmap");
+    em::Pager pager(em::EmOptions{
+        .block_words = 16,
+        .pool_frames = 4,
+        .backend = backend,
+        .path = dir.File("cow-" + std::to_string(static_cast<int>(backend))),
+        .cow_epochs = true});
+    std::vector<em::BlockId> ids;
+    for (int i = 0; i < 6; ++i) ids.push_back(pager.Allocate());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      pager.Create(ids[i]).Set(0, 100 + i);
+    }
+    std::uint64_t roots[1] = {ids[0]};
+    ASSERT_TRUE(pager.Checkpoint(roots).ok());
+    pager.DropCache();
+
+    // Dirty the checkpoint-live block x, then touch three others so x is
+    // the least recently used frame of the full pool.
+    const em::BlockId x = ids[0];
+    pager.Fetch(x).Set(0, 999);
+    for (int i = 1; i <= 3; ++i) {
+      EXPECT_EQ(pager.Fetch(ids[i]).Get(0), 100u + i);
+    }
+
+    // ids[4] misses first and evicts x; x then misses in the same call.
+    pager.Prefetch(std::vector<em::BlockId>{ids[4], x});
+    EXPECT_EQ(pager.Fetch(x).Get(0), 999u);
+    EXPECT_EQ(pager.Fetch(ids[4]).Get(0), 104u);
   }
 }
 
@@ -426,7 +379,7 @@ TEST(BorrowedPinTest, EvictionNeverWritesBorrowedFrames) {
   EXPECT_EQ(dev->writes(), writes_before);
 }
 
-TEST(BorrowedPinTest, PinManyAndPrefetchBorrow) {
+TEST(BorrowedPinTest, PrefetchBorrows) {
   TempDir dir("borrow-batch");
   em::EmOptions opts{.block_words = 8, .pool_frames = 8};
   opts.backend = em::Backend::kMmap;
@@ -446,16 +399,13 @@ TEST(BorrowedPinTest, PinManyAndPrefetchBorrow) {
   EXPECT_EQ(pool.stats().prefetched, 3u);
   EXPECT_EQ(pool.stats().borrows, 3u);
 
-  std::vector<std::uint32_t> frames;
-  pool.PinMany(std::vector<em::BlockId>{2, 4, 5}, &frames);
-  EXPECT_EQ(pool.stats().pool_hits, 1u);    // 2 was prefetched
-  EXPECT_EQ(pool.stats().pool_misses, 2u);  // 4, 5 borrow on miss
-  EXPECT_EQ(pool.stats().borrows, 5u);
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    EXPECT_TRUE(pool.FrameBorrowed(frames[i]));
-    pool.Unpin(frames[i], false);
-  }
-  EXPECT_EQ(pool.ReadData(frames[1])[2], 42u);
+  // Pins of prefetched blocks are hits on the borrowed frames.
+  std::uint32_t f = pool.Pin(2, em::BufferPool::PinMode::kRead);
+  EXPECT_EQ(pool.stats().pool_hits, 1u);
+  EXPECT_EQ(pool.stats().pool_misses, 0u);
+  EXPECT_TRUE(pool.FrameBorrowed(f));
+  EXPECT_EQ(pool.ReadData(f)[2], 22u);
+  pool.Unpin(f, false);
 }
 
 // ---------------------------------------------------------------------------
@@ -472,13 +422,10 @@ TEST(BackendParityTest, IdenticalIoCountsAndOracleResults) {
     em::IoStats build, query;
     std::vector<std::vector<Point>> results;
   };
-  auto run = [&](em::Backend backend, const std::string& path,
-                 std::uint32_t qd, bool reg = false) {
+  auto run = [&](em::Backend backend, const std::string& path) {
     em::EmOptions opts{.block_words = 64, .pool_frames = 16};
     opts.backend = backend;
     opts.path = path;
-    opts.io_queue_depth = qd;
-    opts.io_register_buffers = reg;
     em::Pager pager(opts);
     RunOut out;
     auto built = core::TopkIndex::Build(&pager, points);
@@ -500,18 +447,13 @@ TEST(BackendParityTest, IdenticalIoCountsAndOracleResults) {
     return out;
   };
 
-  RunOut mem = run(em::Backend::kMem, "", 1);
-  RunOut file = run(em::Backend::kFile, dir.File("parity-file.blk"), 1);
-  RunOut uring8 = run(em::Backend::kUring, dir.File("parity-u8.blk"), 8);
-  RunOut uring32 = run(em::Backend::kUring, dir.File("parity-u32.blk"), 32);
-  RunOut uring_reg =
-      run(em::Backend::kUring, dir.File("parity-ureg.blk"), 8, /*reg=*/true);
-  RunOut mmap = run(em::Backend::kMmap, dir.File("parity-mmap.blk"), 1);
+  RunOut mem = run(em::Backend::kMem, "");
+  RunOut file = run(em::Backend::kFile, dir.File("parity-file.blk"));
+  RunOut mmap = run(em::Backend::kMmap, dir.File("parity-mmap.blk"));
 
   // Logical I/O counts are a property of the access sequence, not the
-  // backend, the queue depth, kernel-side buffer registration, or whether
-  // reads were copied or borrowed.
-  for (const RunOut* other : {&file, &uring8, &uring32, &uring_reg, &mmap}) {
+  // backend or whether reads were copied or borrowed.
+  for (const RunOut* other : {&file, &mmap}) {
     EXPECT_EQ(mem.build.reads, other->build.reads);
     EXPECT_EQ(mem.build.writes, other->build.writes);
     EXPECT_EQ(mem.query.reads, other->query.reads);
@@ -627,7 +569,7 @@ TEST(ParallelCheckpointTest, RepeatedCheckpointsStayRecoverable) {
   Rng rng(93);
   auto points = MakePoints(&rng, 1024);
   engine::EngineOptions opts = BaseEngineOptions(dir.path());
-  opts.em.backend = em::Backend::kUring;  // uring shards + parallel ckpt
+  opts.em.backend = em::Backend::kFile;  // file shards + parallel ckpt
   auto built = engine::ShardedTopkEngine::Build(points, opts);
   ASSERT_TRUE(built.ok());
   auto more = MakePoints(&rng, 512);
