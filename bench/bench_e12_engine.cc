@@ -8,9 +8,10 @@
 //     the lock/pager amortization claim.
 // (d) An adversarial insert stream aimed at one shard, with and without the
 //     skew-rebalance hook — tail shard size and throughput after.
-// (f) Fence pruning on/off at 8 shards on wide ranges over zipf-weight and
-//     adversarial score layouts — the sketch-routing claim, with a
-//     fingerprint CHECK that the pruned path answers byte-identically.
+// (f) Fence pruning at 8 shards against one unsharded shard on wide ranges
+//     over zipf-weight and adversarial score layouts — the sketch-routing
+//     claim, with a fingerprint CHECK that the pruned fan-out answers
+//     byte-identically to the single shard.
 // (g) Serve-while-updating: MVCC epoch views under a live writer storm —
 //     read qps as reader threads scale with writers active, every reader's
 //     answer stream fingerprint-checked against a serialized oracle, and a
@@ -316,9 +317,9 @@ std::uint64_t Fingerprint(ShardedTopkEngine* eng) {
 }
 
 void PruningTable() {
-  Header("E12f: fence pruning on/off (8 shards, wide ranges)",
-         {"workload", "pruning", "queries", "wall ms", "qps",
-          "speedup off->on", "avg shards pruned/query", "fingerprint"});
+  Header("E12f: fence pruning, 8 shards vs 1 (wide ranges)",
+         {"workload", "shards", "queries", "wall ms", "qps",
+          "qps vs 1 shard", "avg shards pruned/query", "fingerprint"});
   Rng rng(77);
   struct Workload {
     const char* name;
@@ -328,15 +329,10 @@ void PruningTable() {
   workloads.push_back({"zipf-weight", ZipfWeightPoints(&rng, kPoints)});
   workloads.push_back({"adversarial", MonotonePoints(&rng, kPoints)});
   for (auto& wl : workloads) {
-    double off_qps = 0;
-    std::uint64_t off_fp = 0;
-    for (bool on : {false, true}) {
-      EngineOptions o = EngOpts(8);
-      o.pruning.enabled = on;
-      // Small waves maximize early termination: the frontier usually fills
-      // from the first (best-bounded) shards, so later waves never launch.
-      if (on) o.pruning.dispatch_wave = 2;
-      auto eng = ShardedTopkEngine::Build(wl.pts, o);
+    double one_qps = 0;
+    std::uint64_t one_fp = 0;
+    for (std::uint32_t shards : {1u, 8u}) {
+      auto eng = ShardedTopkEngine::Build(wl.pts, EngOpts(shards));
       Must(eng.status());
       const std::uint64_t fp = Fingerprint(eng->get());
       const engine::EngineCounters before_c = eng->get()->counters();
@@ -344,25 +340,24 @@ void PruningTable() {
       double qps = QueryThroughput(eng->get(), WideRanges{});
       const engine::EngineCounters c = eng->get()->counters();
       const double total = kClientThreads * kQueriesPerThread;
-      RecordIoStats(std::string("E12f ") + wl.name +
-                        (on ? " pruning=on" : " pruning=off"),
+      RecordIoStats(std::string("E12f ") + wl.name + " shards=" + U(shards),
                     eng->get()->AggregatedIoStats() - before,
                     c.shards_pruned - before_c.shards_pruned,
                     c.fence_checks - before_c.fence_checks,
                     c.query_waves - before_c.query_waves);
-      if (!on) {
-        off_qps = qps;
-        off_fp = fp;
+      if (shards == 1) {
+        one_qps = qps;
+        one_fp = fp;
       } else {
-        // The pruned path must be answer-identical to the unpruned one:
-        // fences only skip work the merge provably cannot use.
-        TOKRA_CHECK_EQ(fp, off_fp);
+        // The pruned fan-out must be answer-identical to one unsharded
+        // index: fences only skip work the merge provably cannot use.
+        TOKRA_CHECK_EQ(fp, one_fp);
       }
       char fpbuf[32];
       std::snprintf(fpbuf, sizeof(fpbuf), "%016llx",
                     static_cast<unsigned long long>(fp));
-      Row({wl.name, on ? "on" : "off", U(static_cast<std::uint64_t>(total)),
-           D(total / qps * 1000.0), D(qps, 0), D(on ? qps / off_qps : 1.0),
+      Row({wl.name, U(shards), U(static_cast<std::uint64_t>(total)),
+           D(total / qps * 1000.0), D(qps, 0), D(qps / one_qps),
            D(static_cast<double>(c.shards_pruned - before_c.shards_pruned) /
              total),
            fpbuf});

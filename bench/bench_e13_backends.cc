@@ -7,7 +7,7 @@
 //       reads on warm queries; every backend's results are checked
 //       byte-identical;
 //   (c) checkpoint + reopen round trip on the file backend;
-//   (d) serial vs parallel shard checkpoints on the sharded engine;
+//   (d) shard checkpoints (run concurrently) on the sharded engine;
 //   (e) read-serving throughput of a read-only engine snapshot
 //       (OpenSnapshot, mmap zero-copy) under N concurrent reader threads.
 
@@ -243,40 +243,36 @@ int main() {
     RecordIoStats("checkpoint", ckpt_io);
   }
 
-  // E13d: serial vs parallel shard checkpoints. Same build + same dirty
-  // state on either side; only the checkpoint scheduling differs. Large
-  // per-shard pools keep the build's dirty blocks in memory (so the first
-  // checkpoint has a real flush volume) and durable_sync makes each shard
-  // pay its two real fsync barriers — the costs that overlap across the
-  // thread pool.
+  // E13d: engine checkpoint latency. Shard checkpoints run concurrently on
+  // the engine's pool. Large per-shard pools keep the build's dirty blocks
+  // in memory (so the first checkpoint has a real flush volume) and
+  // durable_sync makes each shard pay its two real fsync barriers — the
+  // costs that overlap across the thread pool.
   {
     Header("E13d: engine checkpoint latency, 8 shards, durable_sync (ms)",
-           {"mode", "first checkpoint", "incremental checkpoint"});
+           {"first checkpoint", "incremental checkpoint"});
     Rng rng(15);
     auto points = RandomPoints(&rng, kN);
     auto extra = RandomPoints(&rng, 8192, 2e6);
-    for (bool parallel : {false, true}) {
-      fs::path edir = dir / (parallel ? "eng-par" : "eng-ser");
-      fs::create_directories(edir);
-      engine::EngineOptions opts;
-      opts.num_shards = 8;
-      opts.threads = 8;
-      opts.em.block_words = 256;
-      opts.em.pool_frames = 1024;
-      opts.em.durable_sync = true;
-      opts.storage_dir = edir.string();
-      opts.parallel_checkpoint = parallel;
-      auto built = engine::ShardedTopkEngine::Build(points, opts);
-      TOKRA_CHECK(built.ok());
-      // First checkpoint: the full structure is dirty.
-      double first_ms =
-          WallMicros([&] { Must((*built)->Checkpoint()); }) / 1000.0;
-      // Incremental: dirty a fraction, checkpoint again.
-      for (const Point& p : extra) Must((*built)->Insert(p));
-      double inc_ms =
-          WallMicros([&] { Must((*built)->Checkpoint()); }) / 1000.0;
-      Row({parallel ? "parallel" : "serial", D(first_ms), D(inc_ms)});
-    }
+    fs::path edir = dir / "eng";
+    fs::create_directories(edir);
+    engine::EngineOptions opts;
+    opts.num_shards = 8;
+    opts.threads = 8;
+    opts.em.block_words = 256;
+    opts.em.pool_frames = 1024;
+    opts.em.durable_sync = true;
+    opts.storage_dir = edir.string();
+    auto built = engine::ShardedTopkEngine::Build(points, opts);
+    TOKRA_CHECK(built.ok());
+    // First checkpoint: the full structure is dirty.
+    double first_ms =
+        WallMicros([&] { Must((*built)->Checkpoint()); }) / 1000.0;
+    // Incremental: dirty a fraction, checkpoint again.
+    for (const Point& p : extra) Must((*built)->Insert(p));
+    double inc_ms =
+        WallMicros([&] { Must((*built)->Checkpoint()); }) / 1000.0;
+    Row({D(first_ms), D(inc_ms)});
   }
 
   // E13e: snapshot read-serving throughput. A checkpointed engine directory
@@ -435,7 +431,7 @@ int main() {
   fs::remove_all(dir);
   std::printf(
       "\nShape check: E13a rows identical (incl. fingerprints); E13b mmap "
-      "fastest warm; E13d parallel beats serial; "
+      "fastest warm; "
       "E13e kqueries/s grows with reader threads; E13f the wal modes "
       "survive a SIGKILL with zero lost updates (checkpoint-only needs a "
       "clean shutdown) at a modest append cost.\n");

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstring>
@@ -107,14 +108,27 @@ Status WriteAheadLog::LoadOrFormat() {
     device_ = std::make_unique<FaultInjectingBlockDevice>(std::move(device_),
                                                           options_.fault);
   }
-  if (device_->NumBlocks() == 0) {
-    // Fresh (or created-then-crashed-before-header) segment. A writer
-    // formats it; a read-only consumer cannot (and must not abort trying),
-    // so it reports the truncated segment as a proper error.
+  const std::uint32_t b = options_.block_words;
+  std::vector<word_t> header(b, 0);
+  if (device_->NumBlocks() > 0) {
+    device_->Read(0, header.data());
+    // A failed read proves nothing about the header: never format over it.
+    if (!device_->io_status().ok()) return device_->io_status();
+  }
+  // Unformatted: empty, or grown to one block but not yet headed.
+  // Formatting grows the file to exactly one block (ftruncate) before the
+  // header write lands, so a reader racing a fresh segment, or a writer
+  // reopening after a crash in that window, sees one of these two states
+  // and never a record. A writer formats it; a read-only consumer reports
+  // the segment as not created yet. A longer segment with a zero header
+  // has frames behind a damaged header: it stays corrupt below, because
+  // formatting it would drop the records a recovery must replay.
+  if (device_->NumBlocks() <= 1 &&
+      std::all_of(header.begin(), header.end(),
+                  [](word_t w) { return w == 0; })) {
     if (options_.read_only) {
-      return Status::FailedPrecondition(
-          "WAL segment has no header (crashed before format?): " +
-          options_.path);
+      return Status::NotFound("WAL segment not formatted yet: " +
+                              options_.path);
     }
     base_lsn_ = 1;
     head_lsn_ = 0;
@@ -122,9 +136,6 @@ Status WriteAheadLog::LoadOrFormat() {
     WriteSegmentHeader();
     return device_->io_status();
   }
-  const std::uint32_t b = options_.block_words;
-  std::vector<word_t> header(b, 0);
-  device_->Read(0, header.data());
   if (header[kSegWMagic] != kSegMagic || header[kSegWVersion] != kSegVersion ||
       header[kSegWChecksum] != SegChecksum(header)) {
     return Status::FailedPrecondition("corrupt WAL segment header: " +

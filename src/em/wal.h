@@ -92,7 +92,9 @@ class WriteAheadLog {
   };
 
   /// Opens (creating if needed, unless read_only) the segment at
-  /// `options.path`, scans it, and drops any torn tail. A leftover
+  /// `options.path`, scans it, and drops any torn tail. An unformatted
+  /// segment (empty, or one all-zero block) is formatted by a writer and
+  /// is kNotFound to a read-only open, like a missing one. A leftover
   /// `<path>.rotate` side file from a crashed rotation is removed (kept in
   /// read-only mode).
   static StatusOr<std::unique_ptr<WriteAheadLog>> Open(Options options);

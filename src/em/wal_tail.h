@@ -63,10 +63,10 @@ class WalTailFollower {
 
   /// One poll: delivers every record with lsn > delivered_lsn(), in LSN
   /// order, and returns how many were delivered (0 when nothing new).
-  /// kNotFound: the segment does not exist yet — benign for a poller, try
-  /// again. kOutOfRange: the log rotated past undelivered records; the
-  /// consumer must re-bootstrap. Other errors propagate from the scan or
-  /// the callback.
+  /// kNotFound: the segment does not exist or has no header yet — benign
+  /// for a poller, try again. kOutOfRange: the log rotated past
+  /// undelivered records; the consumer must re-bootstrap. Other errors
+  /// propagate from the scan or the callback.
   StatusOr<std::uint64_t> Poll(const Callback& fn);
 
   /// LSN of the last record handed to the callback.

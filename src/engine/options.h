@@ -13,13 +13,15 @@
 namespace tokra::engine {
 
 /// Superblock roots each shard checkpoint records: index meta, lower bound,
-/// shard count, topology generation, fence chain head (kNullBlock when the
-/// shard checkpointed without a fence). EngineOptions::Validate() requires a
+/// shard count, topology generation. EngineOptions::Validate() requires a
 /// block to fit the superblock header plus this many roots, so a validated
 /// engine can never fail a checkpoint on geometry at runtime. (The covered
 /// WAL LSN is not a root: the pager stamps it in its own superblock header
-/// word.)
-inline constexpr std::uint32_t kShardCheckpointRoots = 5;
+/// word. Nor is the pruning fence: every open rebuilds it from the shard's
+/// points. Files written with a fifth fence root still open and the root
+/// is ignored, but nothing frees the fence block chain it names: those
+/// blocks stay allocated in the shard file.)
+inline constexpr std::uint32_t kShardCheckpointRoots = 4;
 
 /// How much of the update stream survives a crash.
 enum class Durability {
@@ -53,24 +55,6 @@ struct TelemetryOptions {
   /// Queries at or above this total latency are captured in the slow-query
   /// log with their stage breakdown and per-shard IoStats deltas.
   std::uint64_t slow_query_us = 10'000;
-};
-
-/// Sketch-guided shard pruning (see src/sketch/shard_fence.h and
-/// DESIGN.md §11). When enabled, every shard keeps a ShardFence; queries
-/// route with it (provably-empty ranges and Bloom-missed point lookups are
-/// never dispatched), dispatch the survivors in descending
-/// best-possible-weight waves, and stop dispatching once the merge
-/// frontier's k-th score beats every remaining shard's fence bound.
-struct PruningOptions {
-  /// Master switch. Off, fences are neither built nor persisted and every
-  /// query fans out to all overlapping shards (the pre-fence behaviour).
-  bool enabled = true;
-
-  /// Shards dispatched per wave on the parallel path: after each wave the
-  /// router re-checks the frontier before paying for the next. 0 derives
-  /// `threads` (full first wave, no idle workers); serial queries always
-  /// use wave size 1.
-  std::uint32_t dispatch_wave = 0;
 };
 
 /// Parameters of a ShardedTopkEngine.
@@ -109,12 +93,6 @@ struct EngineOptions {
   /// per batch), Checkpoint() stamps the covered LSN and truncates each
   /// log, and Recover() replays the tails. Requires a storage_dir.
   Durability durability = Durability::kCheckpoint;
-
-  /// Run per-shard checkpoints concurrently on the engine's thread pool.
-  /// Shards checkpoint independent pagers on disjoint files, so this only
-  /// overlaps their flush + superblock writes; the per-shard crash-safety
-  /// contract is unchanged (see DESIGN.md §6.3).
-  bool parallel_checkpoint = true;
 
   /// Serve-while-updating MVCC (DESIGN.md §14). Every shard pager runs
   /// epoch-based copy-on-write checkpoints (ShardEm sets em.cow_epochs to
@@ -165,10 +143,6 @@ struct EngineOptions {
     }
     return o;
   }
-
-  /// Fence-based query pruning (on by default; results are identical with
-  /// it off, only the fan-out cost changes).
-  PruningOptions pruning;
 
   /// Forwarded to every shard's TopkIndex.
   core::TopkIndex::Options index;

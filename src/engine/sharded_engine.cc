@@ -40,14 +40,14 @@ constexpr sketch::ShardFenceOptions kFenceOptions{.fence_slots = 64,
 /// updates a WAL-less open would hide, and pre-images are evidence of torn
 /// in-place home writes that only the undo pass can repair. A cleanly
 /// checkpointed shard has nothing past its stamp (the stamp is taken after
-/// the checkpoint's own guards), so this never fires spuriously. An
-/// unreadable log is refused too — its tail is unknowable.
+/// the checkpoint's own guards), so this never fires spuriously. A missing
+/// or not-yet-formatted log (kNotFound) holds no records; an unreadable log
+/// is refused — its tail is unknowable.
 Status RequireNoWalTail(const EngineOptions& options, std::uint32_t shard,
                         std::uint64_t stamp, const std::string& context) {
-  const std::string wal_path = options.ShardWalPath(shard);
-  const std::uint32_t block_words = options.em.block_words;
-  if (!std::filesystem::exists(wal_path)) return Status::Ok();
-  auto reader = em::WalReader::Open(wal_path, block_words);
+  auto reader =
+      em::WalReader::Open(options.ShardWalPath(shard), options.em.block_words);
+  if (reader.status().code() == StatusCode::kNotFound) return Status::Ok();
   if (!reader.ok()) {
     return Status::FailedPrecondition(
         context + ": shard " + std::to_string(shard) +
@@ -68,78 +68,14 @@ Status RequireNoWalTail(const EngineOptions& options, std::uint32_t shard,
   return Status::Ok();
 }
 
-// ---- Fence persistence (DESIGN.md §11) -----------------------------------
-// A serialized ShardFence is stored in its shard's own pager as a chain of
-// blocks: word 0 of every block is the next block id (kNullBlock ends the
-// chain), word 1 of the HEAD block is the total payload length, and the
-// remaining words carry payload. The head id is checkpoint root 4; a shard
-// checkpointed without a fence records kNullBlock there. Chain blocks ride
-// the pager's ordinary flush/checkpoint machinery, so the fence commits or
-// vanishes atomically with the checkpoint that references it.
-
-em::BlockId WriteFenceChain(em::Pager* pager,
-                            std::span<const em::word_t> payload) {
-  const std::size_t bw = pager->B();
-  const em::BlockId head = pager->Allocate();
-  em::BlockId cur = head;
-  std::size_t at = 0;
-  bool first = true;
-  for (;;) {
-    em::PageRef page = pager->Create(cur);
-    const std::size_t data0 = first ? 2 : 1;
-    if (first) page.Set(1, payload.size());
-    const std::size_t take = std::min(payload.size() - at, bw - data0);
-    for (std::size_t i = 0; i < take; ++i) {
-      page.Set(data0 + i, payload[at + i]);
-    }
-    at += take;
-    if (at == payload.size()) {
-      page.Set(0, em::kNullBlock);
-      return head;
-    }
-    const em::BlockId next = pager->Allocate();
-    page.Set(0, next);
-    cur = next;
-    first = false;
-  }
-}
-
-StatusOr<std::vector<em::word_t>> ReadFenceChain(em::Pager* pager,
-                                                 em::BlockId head) {
-  const std::size_t bw = pager->B();
-  std::vector<em::word_t> payload;
-  em::BlockId cur = head;
-  bool first = true;
-  std::size_t total = 0, visited = 0;
-  while (cur != em::kNullBlock) {
-    // A corrupt root could name a block whose word 0 loops; the payload
-    // bound caps the walk.
-    if (++visited > (std::size_t{1} << 22)) {
-      return Status::Internal("fence chain does not terminate");
-    }
-    em::PageRef page = pager->Fetch(cur);
-    const std::size_t data0 = first ? 2 : 1;
-    if (first) {
-      total = page.Get(1);
-      if (total > (std::size_t{1} << 32)) {
-        return Status::Internal("fence chain length implausible");
-      }
-      payload.reserve(total);
-    }
-    const std::size_t take = std::min(total - payload.size(), bw - data0);
-    for (std::size_t i = 0; i < take; ++i) {
-      payload.push_back(page.Get(data0 + i));
-    }
-    cur = page.Get(0);
-    first = false;
-    if (payload.size() == total && cur != em::kNullBlock) {
-      return Status::Internal("fence chain longer than its payload");
-    }
-  }
-  if (payload.size() != total) {
-    return Status::Internal("fence chain truncated");
-  }
-  return payload;
+/// Every point of `index`, score-descending: the one O(n_i/B) scan each
+/// reopened shard pays to refill the registry and rebuild its fence.
+StatusOr<std::vector<Point>> ScanShard(const core::TopkIndex& index) {
+  const std::uint64_t n = index.size();
+  if (n == 0) return std::vector<Point>{};
+  TOKRA_ASSIGN_OR_RETURN(auto r, index.TopK(-kInf, kInf, n));
+  if (r.size() != n) return Status::Internal("shard scan lost points");
+  return r;
 }
 
 const char* BackendName(em::Backend b) {
@@ -151,18 +87,6 @@ const char* BackendName(em::Backend b) {
   return "unknown";
 }
 
-void FreeFenceChain(em::Pager* pager, em::BlockId head) {
-  em::BlockId cur = head;
-  while (cur != em::kNullBlock) {
-    em::BlockId next;
-    {
-      em::PageRef page = pager->Fetch(cur);
-      next = page.Get(0);
-    }
-    pager->Free(cur);
-    cur = next;
-  }
-}
 }  // namespace
 
 std::vector<em::word_t> EncodeWalOps(std::span<const WalOp> ops) {
@@ -429,12 +353,9 @@ Status ShardedTopkEngine::BuildShardsLocked(std::vector<Point> points) {
     }
     auto shard = std::make_unique<Shard>(em);
     shard->approx_size.store(chunks[i].size(), std::memory_order_relaxed);
-    if (options_.pruning.enabled) {
-      // Fresh fence per (re)build: rebuilds are where stale slot maxima and
-      // grown-loose key bounds are tightened back to exact.
-      shard->fence = sketch::ShardFence::Build(chunks[i], kFenceOptions);
-      shard->has_fence = true;
-    }
+    // Fresh fence per (re)build: rebuilds are where stale slot maxima and
+    // grown-loose key bounds are tightened back to exact.
+    shard->fence = sketch::ShardFence::Build(chunks[i], kFenceOptions);
     auto idx = core::TopkIndex::Build(shard->pager.get(),
                                       std::move(chunks[i]), options_.index);
     if (!idx.ok()) {
@@ -462,13 +383,8 @@ Status ShardedTopkEngine::BuildShardsLocked(std::vector<Point> points) {
         TOKRA_CHECK(live_wal != nullptr);
         fresh[i]->pager->OverrideWalCheckpointLsn(live_wal->head_lsn());
       }
-      if (fresh[i]->has_fence) {
-        fresh[i]->fence_root =
-            WriteFenceChain(fresh[i]->pager.get(), fresh[i]->fence.Serialize());
-      }
       const std::uint64_t extra[kShardCheckpointRoots - 1] = {
-          std::bit_cast<std::uint64_t>(bounds[i]), s, generation_,
-          fresh[i]->fence_root};
+          std::bit_cast<std::uint64_t>(bounds[i]), s, generation_};
       Status st = fresh[i]->index->Checkpoint(extra);
       if (!st.ok()) {
         discard_side_files();
@@ -637,7 +553,6 @@ Status ShardedTopkEngine::DeleteLocked(Shard& sh, const Point& p,
 
 void ShardedTopkEngine::FenceApply(Shard& sh, bool insert,
                                    const Point& p) const {
-  if (!sh.has_fence) return;
   std::lock_guard<std::mutex> fg(sh.fence_mu);
   if (insert) {
     sh.fence.Insert(p);
@@ -870,57 +785,42 @@ StatusOr<std::vector<Point>> ShardedTopkEngine::TopKLocked(
   };
   std::vector<Cand> cands;
   cands.reserve(q);
-  std::uint32_t fence_checks = 0, pruned = 0;
-  const bool prune = options_.pruning.enabled;
+  std::uint32_t pruned = 0;
   for (std::size_t j = 0; j < q; ++j) {
-    double bound = kInf;
-    if (prune) {
-      const Shard& sh = *shards_[s1 + j];
-      const ShardView* view = view_of(j);
-      std::unique_lock<std::mutex> fg;
-      if (view == nullptr) fg = std::unique_lock<std::mutex>(sh.fence_mu);
-      const sketch::ShardFence& fence =
-          view != nullptr ? view->fence : sh.fence;
-      if (view != nullptr ? view->has_fence : sh.has_fence) {
-        ++fence_checks;
-        if (x1 == x2 && !fence.MightContain(x1)) {
-          ++pruned;
-          continue;
-        }
-        const sketch::FenceBound fb = fence.RangeBound(x1, x2);
-        if (!fb.maybe_nonempty) {
-          ++pruned;
-          continue;
-        }
-        bound = fb.best_score;
-      }
+    const Shard& sh = *shards_[s1 + j];
+    const ShardView* view = view_of(j);
+    std::unique_lock<std::mutex> fg;
+    if (view == nullptr) fg = std::unique_lock<std::mutex>(sh.fence_mu);
+    const sketch::ShardFence& fence = view != nullptr ? view->fence : sh.fence;
+    if (x1 == x2 && !fence.MightContain(x1)) {
+      ++pruned;
+      continue;
     }
-    cands.push_back({j, bound});
+    const sketch::FenceBound fb = fence.RangeBound(x1, x2);
+    if (!fb.maybe_nonempty) {
+      ++pruned;
+      continue;
+    }
+    cands.push_back({j, fb.best_score});
   }
+  const auto fence_checks = static_cast<std::uint32_t>(q);
   // Dispatch in descending best-possible-score waves. After each wave the
   // merge frontier (the k best scores seen so far) is consulted: once it is
   // full and the next candidate's fence bound cannot beat its k-th score,
   // no remaining candidate can either (they are sorted), so the fan-out
   // stops early. Sound because bounds are upper bounds and the registry
   // keeps scores globally distinct — a pruned shard's in-range scores are
-  // strictly below the k already-held results (see DESIGN.md §11).
+  // strictly below the k already-held results (see DESIGN.md §11). Serial
+  // queries re-check after every shard; parallel ones dispatch a
+  // pool-filling wave at a time so early termination never idles workers.
   std::stable_sort(cands.begin(), cands.end(),
                    [](const Cand& a, const Cand& b) { return a.bound > b.bound; });
-  std::size_t wave = cands.size();
-  if (prune) {
-    // Serial queries re-check after every shard; parallel ones dispatch a
-    // pool-filling wave at a time so early termination never idles workers.
-    wave = !parallel ? 1
-                     : (options_.pruning.dispatch_wave != 0
-                            ? options_.pruning.dispatch_wave
-                            : options_.threads);
-    wave = std::max<std::size_t>(wave, 1);
-  }
+  const std::size_t wave = parallel ? options_.threads : 1;
   MergeFrontier frontier(k);
   std::uint32_t waves = 0, dispatched = 0;
   std::size_t next = 0;
   while (next < cands.size()) {
-    if (prune && frontier.full() && cands[next].bound <= frontier.kth()) {
+    if (frontier.full() && cands[next].bound <= frontier.kth()) {
       pruned += static_cast<std::uint32_t>(cands.size() - next);
       break;
     }
@@ -1186,26 +1086,20 @@ Status ShardedTopkEngine::CheckpointLocked(
     if (st.ok()) PublishShardLocked(i, *shards_[i]);
     return st;
   };
+  // Shard checkpoints touch disjoint pagers and files, so they overlap
+  // freely on the pool; each one still runs its own flush -> barrier ->
+  // superblock -> barrier sequence, which is the entirety of the
+  // crash-safety argument (DESIGN.md §6.3). RunAll is the barrier: no
+  // checkpoint is acknowledged before every shard's durability barriers
+  // have completed. We hold topology_mu_ exclusively, so no fan-out query
+  // can race these pool tasks on the shard pagers.
   std::vector<Status> statuses(shards_.size());
-  if (options_.parallel_checkpoint && shards_.size() > 1) {
-    // Shard checkpoints touch disjoint pagers and files, so they can
-    // overlap freely; each one still runs its own flush -> barrier ->
-    // superblock -> barrier sequence, which is the entirety of the
-    // crash-safety argument (DESIGN.md §6.3). RunAll is the barrier: no
-    // checkpoint is acknowledged before every shard's durability barriers
-    // have completed. We hold topology_mu_ exclusively, so no fan-out
-    // query can race these pool tasks on the shard pagers.
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(shards_.size());
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      tasks.emplace_back([&, i] { statuses[i] = checkpoint_shard(i); });
-    }
-    pool_.RunAll(std::move(tasks));
-  } else {
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      statuses[i] = checkpoint_shard(i);
-    }
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(shards_.size());
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    tasks.emplace_back([&, i] { statuses[i] = checkpoint_shard(i); });
   }
+  pool_.RunAll(std::move(tasks));
   for (const Status& st : statuses) TOKRA_RETURN_IF_ERROR(st);
   if (covered_lsns != nullptr) {
     covered_lsns->clear();
@@ -1220,40 +1114,17 @@ Status ShardedTopkEngine::CheckpointLocked(
 Status ShardedTopkEngine::CheckpointShardLocked(std::size_t i, Shard& sh,
                                                 std::uint64_t* covered_lsn) {
   // A failed shard cannot commit (its pager refuses; its device overlay
-  // holds post-failure writes off the medium). Fail fast so the fence
-  // chain below isn't pointlessly rewritten — the healthy shards still
-  // checkpoint, and the first error is what the caller gets back.
+  // holds post-failure writes off the medium). Fail fast — the healthy
+  // shards still checkpoint, and the first error is what the caller gets
+  // back.
   if (Status st = sh.pager->io_status(); !st.ok()) return st;
   if (!sh.dirty.load(std::memory_order_relaxed)) {
-    // A clean shard's fence is also unchanged, so its old fence root (or
-    // kNullBlock) is still exactly right.
     if (covered_lsn != nullptr) *covered_lsn = sh.pager->wal_checkpoint_lsn();
     return Status::Ok();
   }
-  // Root 4 is the fence chain head. Rewrite it fresh each checkpoint (the
-  // fence mutates with every update); the old chain's blocks are freed
-  // first so a long-lived shard doesn't leak a chain per checkpoint. A
-  // crash inside this window is safe: the superseded superblock still
-  // references the old chain's blocks, and the pager's checkpoint
-  // machinery keeps a referenced block's storage live until the NEXT
-  // completed checkpoint stops referencing it.
-  if (sh.has_fence || sh.fence_root != em::kNullBlock) {
-    if (sh.fence_root != em::kNullBlock) {
-      FreeFenceChain(sh.pager.get(), sh.fence_root);
-      sh.fence_root = em::kNullBlock;
-    }
-    if (sh.has_fence) {
-      std::vector<em::word_t> blob;
-      {
-        std::lock_guard<std::mutex> fg(sh.fence_mu);
-        blob = sh.fence.Serialize();
-      }
-      sh.fence_root = WriteFenceChain(sh.pager.get(), blob);
-    }
-  }
   const std::uint64_t extra[kShardCheckpointRoots - 1] = {
-      std::bit_cast<std::uint64_t>(lower_bounds_[i]),
-      options_.num_shards, generation_, sh.fence_root};
+      std::bit_cast<std::uint64_t>(lower_bounds_[i]), options_.num_shards,
+      generation_};
   Status st = sh.index->Checkpoint(extra);
   if (st.ok()) sh.dirty.store(false, std::memory_order_relaxed);
   if (covered_lsn != nullptr) *covered_lsn = sh.pager->wal_checkpoint_lsn();
@@ -1293,10 +1164,7 @@ void ShardedTopkEngine::StoreShardView(std::size_t i, Shard& sh,
     // The fence snapshot is taken under the same shard lock that applied
     // the updates this view covers, so it describes the view exactly.
     std::lock_guard<std::mutex> fg(sh.fence_mu);
-    if (sh.has_fence) {
-      view->fence = sh.fence;
-      view->has_fence = true;
-    }
+    view->fence = sh.fence;
   }
   const std::uint32_t nh = options_.threads + 1;
   view->handles.reserve(nh);
@@ -1446,22 +1314,6 @@ StatusOr<std::unique_ptr<ShardedTopkEngine>> ShardedTopkEngine::Recover(
     shard->pager = std::move(pagers[i]);
     TOKRA_ASSIGN_OR_RETURN(shard->index,
                            core::TopkIndex::Open(shard->pager.get()));
-    // Reconstruct the pruning fence from checkpoint root 4 BEFORE the WAL
-    // replay below, so the replayed tail updates it exactly like the live
-    // engine's update path did. A shard checkpointed with pruning off
-    // recorded kNullBlock; the registry scan further down rebuilds a fence
-    // from scratch in that case.
-    if (options.pruning.enabled) {
-      const em::BlockId froot = shard->pager->roots()[4];
-      if (froot != em::kNullBlock) {
-        TOKRA_ASSIGN_OR_RETURN(auto blob,
-                               ReadFenceChain(shard->pager.get(), froot));
-        TOKRA_ASSIGN_OR_RETURN(shard->fence,
-                               sketch::ShardFence::Deserialize(blob));
-        shard->has_fence = true;
-        shard->fence_root = froot;
-      }
-    }
     // Redo: replay the acknowledged update batches past the stamped
     // checkpoint LSN, in LSN order, through the normal index update path.
     // Pre-image records are skipped here (the pager already consumed them)
@@ -1494,15 +1346,6 @@ StatusOr<std::unique_ptr<ShardedTopkEngine>> ShardedTopkEngine::Recover(
                 "WAL replay failed on shard " + std::to_string(i) + ": " +
                 st.ToString());
           }
-          // Keep the fence in step with the replayed tail (no fence_mu:
-          // the engine is not published yet).
-          if (shard->has_fence) {
-            if (op.insert) {
-              shard->fence.Insert(op.p);
-            } else {
-              shard->fence.Delete(op.p);
-            }
-          }
         }
         replayed = true;
         if (report != nullptr) {
@@ -1515,31 +1358,17 @@ StatusOr<std::unique_ptr<ShardedTopkEngine>> ShardedTopkEngine::Recover(
     // clean until the first accepted update. Replayed shards are ahead of
     // their checkpoint again and must not be skipped by the next one.
     shard->dirty.store(replayed, std::memory_order_relaxed);
-    const std::uint64_t n = shard->index->size();
-    shard->approx_size.store(n, std::memory_order_relaxed);
-    if (n > 0) {
-      // One O(n_i/B) scan refills the exact-membership registry.
-      auto r = shard->index->TopK(-kInf, kInf, n);
-      if (!r.ok()) return r.status();
-      if (r->size() != n) {
-        return Status::Internal("recovered shard lost points");
+    shard->approx_size.store(shard->index->size(), std::memory_order_relaxed);
+    // One O(n_i/B) scan of the replayed state refills the exact-membership
+    // registry and builds the shard's fence, exact for the recovered set.
+    TOKRA_ASSIGN_OR_RETURN(auto all, ScanShard(*shard->index));
+    for (const Point& p : all) {
+      if (!engine->by_x_.emplace(p.x, p.score).second ||
+          !engine->scores_.insert(p.score).second) {
+        return Status::Internal("recovered shards overlap");
       }
-      for (const Point& p : *r) {
-        if (!engine->by_x_.emplace(p.x, p.score).second ||
-            !engine->scores_.insert(p.score).second) {
-          return Status::Internal("recovered shards overlap");
-        }
-      }
-      // No persisted fence (checkpoint predates pruning, or it was off):
-      // rebuild one from the scan we already paid for.
-      if (options.pruning.enabled && !shard->has_fence) {
-        shard->fence = sketch::ShardFence::Build(*r, kFenceOptions);
-        shard->has_fence = true;
-      }
-    } else if (options.pruning.enabled && !shard->has_fence) {
-      shard->fence = sketch::ShardFence::Build({}, {});
-      shard->has_fence = true;
     }
+    shard->fence = sketch::ShardFence::Build(all, kFenceOptions);
     shards.push_back(std::move(shard));
   }
   if (bounds[0] != -kInf || !std::is_sorted(bounds.begin(), bounds.end())) {
@@ -1631,20 +1460,13 @@ StatusOr<std::unique_ptr<ShardedTopkEngine>> ShardedTopkEngine::OpenSnapshot(
       TOKRA_RETURN_IF_ERROR(RequireNoWalTail(
           options, i, shard->pager->wal_checkpoint_lsn(), "snapshot"));
     }
-    // Pruning for read-only serving comes straight from checkpoint root 4;
-    // a snapshot never scans, so a fence-less checkpoint simply serves this
-    // shard unpruned (has_fence stays false).
-    if (options.pruning.enabled && roots[4] != em::kNullBlock) {
-      TOKRA_ASSIGN_OR_RETURN(auto blob,
-                             ReadFenceChain(shard->pager.get(), roots[4]));
-      TOKRA_ASSIGN_OR_RETURN(shard->fence,
-                             sketch::ShardFence::Deserialize(blob));
-      shard->has_fence = true;
-      shard->fence_root = roots[4];
-    }
     TOKRA_ASSIGN_OR_RETURN(shard->index,
                            core::TopkIndex::Open(shard->pager.get()));
     shard->approx_size.store(shard->index->size(), std::memory_order_relaxed);
+    // The fence is built from the same one-scan-per-shard Recover() pays
+    // (read-only: the scan only reads the checkpointed blocks).
+    TOKRA_ASSIGN_OR_RETURN(auto all, ScanShard(*shard->index));
+    shard->fence = sketch::ShardFence::Build(all, kFenceOptions);
     shard->dirty.store(false, std::memory_order_relaxed);
     // The shard's one view, with no pin: nothing writes the files. A
     // backend that cannot share a read view leaves it null, and the shard
@@ -1837,7 +1659,7 @@ void ShardedTopkEngine::CheckInvariants() const {
     total += n;
     if (n == 0) {
       // Fence soundness for the empty shard: it must not claim residents.
-      if (sh.has_fence) sh.fence.CheckAgainst({});
+      sh.fence.CheckAgainst({});
       continue;
     }
     auto r = sh.index->TopK(-kInf, kInf, n);
@@ -1846,7 +1668,7 @@ void ShardedTopkEngine::CheckInvariants() const {
     // Fence soundness: exact count, every live point inside the fence's
     // bounds and never excludable by RangeBound/MightContain — the
     // invariant that makes pruning answer-preserving (DESIGN.md §11).
-    if (sh.has_fence) sh.fence.CheckAgainst(*r);
+    sh.fence.CheckAgainst(*r);
     for (const Point& p : *r) {
       TOKRA_CHECK_EQ(ShardFor(p.x), i);  // point lives in its owning shard
       if (snapshot_) continue;  // no registry: nothing can be inserted

@@ -80,7 +80,8 @@ struct EngineQueryStats {
   std::uint32_t shards_queried = 0;      ///< shards actually probed
   std::uint64_t shard_candidates = 0;    ///< per-shard hits fed to the merge
   std::uint64_t merge_nodes_visited = 0; ///< tournament-heap visits (<= k+q)
-  // Fence-guided pruning (all zero with pruning disabled; DESIGN.md §11).
+  // Fence-guided pruning (DESIGN.md §11): every overlapping shard is either
+  // pruned or queried, so shards_queried + shards_pruned is the overlap.
   std::uint32_t shards_pruned = 0;  ///< overlapping shards proven skippable
   std::uint32_t fence_checks = 0;   ///< fence consultations for this query
   std::uint32_t waves = 0;          ///< dispatch waves the fan-out took
@@ -316,7 +317,6 @@ class ShardedTopkEngine {
     // view's own fence so routing decisions match the data the view serves
     // (the live fence may already reflect post-epoch updates).
     sketch::ShardFence fence;
-    bool has_fence = false;
     std::vector<std::unique_ptr<ReadHandle>> handles;
     mutable std::atomic<std::uint32_t> next{0};
   };
@@ -333,17 +333,14 @@ class ShardedTopkEngine {
     // this shard. A clean shard's checkpoint is skipped (its file already
     // holds this exact state).
     std::atomic<bool> dirty{true};
-    // Pruning sketch (DESIGN.md §11). fence_mu lets the router read bounds
-    // without taking the shard mutex (which queries in flight hold for the
-    // whole probe); updates touch the fence under BOTH mu and fence_mu, so
-    // a router holding only fence_mu still sees a sound fence. has_fence
-    // false => the router must dispatch this shard unconditionally.
+    // Pruning sketch (DESIGN.md §11), in memory only: built by every open
+    // path from the shard's points before the shard serves. fence_mu lets
+    // the router read bounds without taking the shard mutex (which queries
+    // in flight hold for the whole probe); updates touch the fence under
+    // BOTH mu and fence_mu, so a router holding only fence_mu still sees a
+    // sound fence.
     mutable std::mutex fence_mu;
     sketch::ShardFence fence;
-    bool has_fence = false;
-    // Pager block chain holding the fence blob of the LAST checkpoint
-    // (kNullBlock before the first); freed and rewritten by the next one.
-    em::BlockId fence_root = em::kNullBlock;
     // The currently published view when the engine publishes views (MVCC
     // or snapshot); null before the first publication or when it failed,
     // and queries then fall back to the locked probe. view_mu is held only
@@ -406,9 +403,9 @@ class ShardedTopkEngine {
   /// holds sh.mu.
   Status ShardUpdateStatus(const Shard& sh) const;
 
-  /// Folds one ACCEPTED update into sh's fence (no-op when the shard has no
-  /// fence). Caller holds sh.mu; takes sh.fence_mu internally so routers
-  /// reading bounds under fence_mu alone always see a sound fence.
+  /// Folds one ACCEPTED update into sh's fence. Caller holds sh.mu; takes
+  /// sh.fence_mu internally so routers reading bounds under fence_mu alone
+  /// always see a sound fence.
   void FenceApply(Shard& sh, bool insert, const Point& p) const;
 
   /// Non-OK when a WAL mode must stop accepting updates because a failed
@@ -439,8 +436,8 @@ class ShardedTopkEngine {
   /// Checkpoint body. Caller holds topology_mu_ exclusively.
   Status CheckpointLocked(std::vector<std::uint64_t>* covered_lsns);
 
-  /// Checkpoints shard `i` (fence chain rewrite + pager Checkpoint with the
-  /// engine roots) if dirty; the single checkpoint implementation shared by
+  /// Checkpoints shard `i` (pager Checkpoint with the engine roots) if
+  /// dirty; the single checkpoint implementation shared by
   /// CheckpointLocked and PublishShardLocked. Caller holds sh.mu (or has
   /// exclusive ownership of the shard). `covered_lsn`, when non-null,
   /// receives the stamped WAL LSN (0 without a log).

@@ -10,9 +10,6 @@ namespace tokra::sketch {
 
 namespace {
 
-constexpr std::uint64_t kFenceMagic = 0x746f6b72'66656e63ULL;  // "tokrfenc"
-constexpr std::uint64_t kFenceVersion = 1;
-
 inline std::uint64_t SplitMix64(std::uint64_t z) {
   z += 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -23,11 +20,6 @@ inline std::uint64_t SplitMix64(std::uint64_t z) {
 inline std::uint64_t KeyHash(double x) {
   return SplitMix64(std::bit_cast<std::uint64_t>(x));
 }
-
-inline std::uint64_t DoubleBits(double v) {
-  return std::bit_cast<std::uint64_t>(v);
-}
-inline double BitsDouble(std::uint64_t w) { return std::bit_cast<double>(w); }
 
 }  // namespace
 
@@ -137,61 +129,6 @@ bool ShardFence::BloomTest(double x) const {
     }
   }
   return true;
-}
-
-std::vector<em::word_t> ShardFence::Serialize() const {
-  std::vector<em::word_t> w;
-  w.reserve(10 + 2 * slots_.size() + bloom_.size());
-  w.push_back(kFenceMagic);
-  w.push_back(kFenceVersion);
-  w.push_back(count_);
-  w.push_back(DoubleBits(min_x_));
-  w.push_back(DoubleBits(max_x_));
-  w.push_back(anchored_ ? 1 : 0);
-  w.push_back(DoubleBits(lo_));
-  w.push_back(DoubleBits(hi_));
-  w.push_back(slots_.size());
-  w.push_back(bloom_.size());
-  for (const Slot& s : slots_) {
-    w.push_back(s.count);
-    w.push_back(DoubleBits(s.max_score));
-  }
-  w.insert(w.end(), bloom_.begin(), bloom_.end());
-  return w;
-}
-
-StatusOr<ShardFence> ShardFence::Deserialize(
-    std::span<const em::word_t> words) {
-  if (words.size() < 10) {
-    return Status::Internal("fence blob truncated header");
-  }
-  if (words[0] != kFenceMagic) return Status::Internal("fence magic");
-  if (words[1] != kFenceVersion) return Status::Internal("fence version");
-  std::uint64_t nslots = words[8], nbloom = words[9];
-  if (nslots > (std::uint64_t{1} << 20) || nbloom > (std::uint64_t{1} << 32)) {
-    return Status::Internal("fence sizes implausible");
-  }
-  if (words.size() < 10 + 2 * nslots + nbloom) {
-    return Status::Internal("fence blob truncated body");
-  }
-  if (nbloom % kBloomBlockWords != 0) {
-    return Status::Internal("fence bloom not block-aligned");
-  }
-  ShardFence f;
-  f.count_ = words[2];
-  f.min_x_ = BitsDouble(words[3]);
-  f.max_x_ = BitsDouble(words[4]);
-  f.anchored_ = words[5] != 0;
-  f.lo_ = BitsDouble(words[6]);
-  f.hi_ = BitsDouble(words[7]);
-  f.slots_.resize(nslots);
-  std::size_t at = 10;
-  for (std::uint64_t s = 0; s < nslots; ++s) {
-    f.slots_[s].count = words[at++];
-    f.slots_[s].max_score = BitsDouble(words[at++]);
-  }
-  f.bloom_.assign(words.begin() + at, words.begin() + at + nbloom);
-  return f;
 }
 
 void ShardFence::CheckAgainst(std::span<const Point> points) const {

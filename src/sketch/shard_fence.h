@@ -24,9 +24,10 @@
 // only when the slot counts prove the range empty. The slot mapping is a
 // fixed monotone function of x, so insert/delete keep counts exact.
 //
-// The engine serializes a fence into its shard's pager blocks at checkpoint
-// (root 4 of the shard superblock) and reconstructs it on Recover() /
-// OpenSnapshot(); see DESIGN.md §11.
+// A fence lives in memory only. Every engine open path builds it from a
+// point set it already holds — Build's chunks, or the one full scan per
+// shard that Recover() and OpenSnapshot() pay — so nothing is persisted and
+// a reopened fence starts exact again; see DESIGN.md §11.
 
 #ifndef TOKRA_SKETCH_SHARD_FENCE_H_
 #define TOKRA_SKETCH_SHARD_FENCE_H_
@@ -36,15 +37,13 @@
 #include <span>
 #include <vector>
 
-#include "em/options.h"
 #include "util/point.h"
-#include "util/status.h"
 
 namespace tokra::sketch {
 
 struct ShardFenceOptions {
   /// Max-weight sub-ranges per shard. More slots = tighter bounds, bigger
-  /// serialized fence; 64 slots cost ~1KiB per shard.
+  /// fence; 64 slots cost ~1KiB per shard.
   std::uint32_t fence_slots = 64;
   /// Bloom bits per key at build time (0 disables the filter). The filter
   /// size is fixed at build; later inserts keep adding bits, so it only
@@ -84,11 +83,6 @@ class ShardFence {
   /// False only when NO held point has key x (point-query pruning). May
   /// return true for absent keys (Bloom false positive / deleted key).
   bool MightContain(double x) const;
-
-  /// Serialization to raw words — the engine stores these in a pager block
-  /// chain and records the head as a checkpoint root.
-  std::vector<em::word_t> Serialize() const;
-  static StatusOr<ShardFence> Deserialize(std::span<const em::word_t> words);
 
   /// Validates soundness against the live point set: exact count, every
   /// point inside the key bounds, RangeBound/MightContain never exclude a

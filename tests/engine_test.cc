@@ -503,8 +503,8 @@ TEST(MergeFrontierTest, TracksRunningKthScore) {
   EXPECT_FALSE(zero.full());
 }
 
-// Pruning on vs off: identical answers, and on a score-monotone-in-x set
-// the fences let wide queries skip most shards.
+// Pruning is answer-preserving, and on a score-monotone-in-x set the
+// fences let wide queries skip most shards.
 TEST(ShardedEngineTest, PruningMatchesOracleAndPrunesShards) {
   Rng rng(11);
   auto xs = rng.DistinctDoubles(1600, 0.0, 1000.0);
@@ -514,40 +514,35 @@ TEST(ShardedEngineTest, PruningMatchesOracleAndPrunesShards) {
   std::vector<Point> pts(1600);
   for (std::size_t i = 0; i < pts.size(); ++i) pts[i] = {xs[i], scores[i]};
 
-  EngineOptions on = Opts(8, 4);
-  on.pruning.dispatch_wave = 2;
-  EngineOptions off = Opts(8, 4);
-  off.pruning.enabled = false;
-  auto pruned_eng = ShardedTopkEngine::Build(pts, on).value();
-  auto plain_eng = ShardedTopkEngine::Build(pts, off).value();
+  auto engine = ShardedTopkEngine::Build(pts, Opts(8, 4)).value();
+  const std::vector<double> lower = engine->ShardLowerBounds();
+  auto shard_of = [&lower](double x) {
+    return static_cast<std::size_t>(
+        std::upper_bound(lower.begin(), lower.end(), x) - lower.begin() - 1);
+  };
 
   std::uint64_t total_pruned = 0, total_checks = 0;
   for (int i = 0; i < 50; ++i) {
     double a = rng.UniformDouble(0.0, 200.0);
     double b = a + 750.0;
     std::uint64_t k = 1 + rng.Uniform(20);
-    EngineQueryStats ps, qs;
-    auto got = pruned_eng->TopK(a, b, k, &ps);
-    auto want = plain_eng->TopK(a, b, k, &qs);
+    EngineQueryStats ps;
+    auto got = engine->TopK(a, b, k, &ps);
     ASSERT_TRUE(got.ok());
-    ASSERT_TRUE(want.ok());
-    ExpectPointsEqual(*got, *want);
     ExpectPointsEqual(*got, internal::NaiveTopK(pts, a, b, k));
     total_pruned += ps.shards_pruned;
     total_checks += ps.fence_checks;
     EXPECT_GE(ps.waves, 1u);
-    EXPECT_EQ(qs.shards_pruned, 0u);
-    EXPECT_EQ(qs.fence_checks, 0u);
-    // Both engines share shard bounds, so dispatched + pruned must equal
-    // the unpruned fan-out.
-    EXPECT_EQ(ps.shards_queried + ps.shards_pruned, qs.shards_queried);
+    // Every overlapping shard is either probed or pruned.
+    EXPECT_EQ(ps.shards_queried + ps.shards_pruned,
+              shard_of(b) - shard_of(a) + 1);
   }
   EXPECT_GT(total_pruned, 0u);
   EXPECT_GT(total_checks, 0u);
-  EXPECT_GT(pruned_eng->counters().shards_pruned, 0u);
-  EXPECT_GT(pruned_eng->counters().fence_checks, 0u);
-  EXPECT_GT(pruned_eng->counters().query_waves, 0u);
-  pruned_eng->CheckInvariants();
+  EXPECT_GT(engine->counters().shards_pruned, 0u);
+  EXPECT_GT(engine->counters().fence_checks, 0u);
+  EXPECT_GT(engine->counters().query_waves, 0u);
+  engine->CheckInvariants();
 }
 
 // Point lookups (x1 == x2) go through the Bloom filter: present keys are
@@ -699,6 +694,34 @@ TEST(MvccEngineTest, ConcurrentReadersSeeConsistentTopKDuringUpdateStorm) {
   EXPECT_EQ(engine->counters().query_shard_locks, 0u);
   EXPECT_GT(engine->AggregatedIoStats().retired_blocks, 0u);
   engine->CheckInvariants();
+}
+
+// An MVCC update checkpoints its shard, and that checkpoint must cost the
+// update's own dirty blocks, not a rewrite of per-shard state proportional
+// to n_i/B. Growing a 1-shard engine 16x may add only the O(lg_B n) growth
+// of the index paths to the average block writes per insert: measured
+// 28.7 -> 40.7 (gap 12). A fence rewritten at every checkpoint made it
+// 35.8 -> 107.8 (gap 72).
+TEST(MvccEngineTest, UpdateWritesDoNotGrowWithShardSize) {
+  auto writes_per_insert = [](std::size_t n) {
+    Rng rng(31);
+    std::vector<Point> pts = RandomPoints(&rng, n + 64);
+    const std::vector<Point> extra(pts.end() - 64, pts.end());
+    pts.resize(n);
+    EngineOptions o = MvccOpts(1, 1);
+    o.em.block_words = 64;
+    auto engine = ShardedTopkEngine::Build(pts, o).value();
+    const em::IoStats before = engine->AggregatedIoStats();
+    for (const Point& p : extra) EXPECT_TRUE(engine->Insert(p).ok());
+    engine->CheckInvariants();
+    return static_cast<double>(
+               (engine->AggregatedIoStats() - before).writes) /
+           static_cast<double>(extra.size());
+  };
+  const double small = writes_per_insert(2000);
+  const double large = writes_per_insert(32000);
+  EXPECT_LT(large - small, 24.0) << "n=2000: " << small
+                                 << " writes/insert, n=32000: " << large;
 }
 
 // A rebalance replaces every shard (and its epoch views) wholesale; the

@@ -499,9 +499,11 @@ TEST(EnginePersistenceTest, RecoverRollsForwardInterruptedRebalance) {
     em::Pager pager(em);
     auto idx = core::TopkIndex::Build(&pager, {});
     ASSERT_TRUE(idx.ok());
+    // Five roots, as checkpoints written before the fence root was
+    // dropped: Recover() reads the first four and ignores the fifth.
     const std::uint64_t extra[4] = {0 /* bound (ignored at gen 0) */,
                                     opts.num_shards, 0 /* old generation */,
-                                    em::kNullBlock /* no fence */};
+                                    em::kNullBlock /* old fence root */};
     ASSERT_TRUE((*idx)->Checkpoint(extra).ok());
   }
 
@@ -1011,8 +1013,7 @@ TEST(WalRecoveryTest, RebalanceAdoptsLogsAndReplaysAcrossRollForward) {
     em::Pager pager(em);
     auto idx = core::TopkIndex::Build(&pager, {});
     ASSERT_TRUE(idx.ok());
-    const std::uint64_t extra[4] = {0, opts.num_shards, 0 /* old gen */,
-                                    em::kNullBlock /* no fence */};
+    const std::uint64_t extra[3] = {0, opts.num_shards, 0 /* old gen */};
     ASSERT_TRUE((*idx)->Checkpoint(extra).ok());
   }
   engine::RecoveryReport report;
@@ -1217,9 +1218,11 @@ TEST(SnapshotServingTest, RequiresStorageDirAndCheckpointedShards) {
   ASSERT_TRUE(engine::ShardedTopkEngine::OpenSnapshot(opts).ok());
 }
 
-// --- fence persistence (DESIGN.md §11) --------------------------------------
-// Pruning fences ride the checkpoint as root 4; these tests pin the contract
-// that a recovered / snapshot / rebalanced engine prunes from a fence that is
+// --- fences across reopen (DESIGN.md §11) ----------------------------------
+// Pruning fences are never persisted: every open path builds them from the
+// shard's points (Recover() and OpenSnapshot() from one full scan per shard,
+// after any WAL replay). These tests pin the contract that a recovered /
+// snapshot / rebalanced engine prunes from a fence built at open that is
 // exact for the live point set (CheckInvariants cross-checks it point by
 // point).
 
@@ -1267,12 +1270,53 @@ TEST(EnginePersistenceTest, FenceRoundTripsThroughCheckpointRecover) {
     EXPECT_EQ(*got, internal::NaiveTopK(points, a, b, k));
     pruned += stats.shards_pruned;
   }
-  EXPECT_GT(pruned, 0u) << "recovered engine never pruned: fence not loaded";
+  EXPECT_GT(pruned, 0u) << "recovered engine never pruned: fence not built";
 }
 
-// Post-checkpoint WAL-only updates must be replayed into the fence too: the
-// crash-surviving insert carries the new global-best score, so a fence that
-// missed the replay would let the router prune its shard and drop it.
+// A fence built at open is exact again: deletes leave Bloom bits set in the
+// live fence, but the recovered one never saw the deleted keys, so point
+// lookups on them are pruned (up to the filter's few-percent false
+// positives).
+TEST(EnginePersistenceTest, RecoveredFenceDropsDeletedKeys) {
+  TempDir dir("engine-fence-deleted");
+  engine::EngineOptions opts;
+  opts.num_shards = 4;
+  opts.threads = 2;
+  opts.em.block_words = 64;
+  opts.em.pool_frames = 16;
+  opts.storage_dir = dir.path();
+  opts.durability = engine::Durability::kCheckpoint;
+
+  Rng rng(75);
+  auto points = MonotonePersistPoints(&rng, 800);
+  std::vector<Point> deleted;
+  for (std::size_t i = 0; i < 50; ++i) deleted.push_back(points[5 + 15 * i]);
+  {
+    auto built = engine::ShardedTopkEngine::Build(points, opts);
+    ASSERT_TRUE(built.ok());
+    for (const Point& p : deleted) ASSERT_TRUE((*built)->Delete(p).ok());
+    ASSERT_TRUE((*built)->Checkpoint().ok());
+  }
+
+  auto recovered = engine::ShardedTopkEngine::Recover(opts);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  auto& eng = *recovered;
+  eng->CheckInvariants();
+  int pruned = 0;
+  for (const Point& p : deleted) {
+    engine::EngineQueryStats stats;
+    auto got = eng->TopK(p.x, p.x, 1, &stats);
+    ASSERT_TRUE(got.ok());
+    EXPECT_TRUE(got->empty());
+    if (stats.shards_pruned == 1) ++pruned;
+  }
+  EXPECT_GE(pruned, 40) << "recovered fence still holds deleted keys";
+}
+
+// Post-checkpoint WAL-only updates must reach the fence too (Recover()
+// builds it from the replayed state): the crash-surviving insert carries the
+// new global-best score, so a fence that missed the replay would let the
+// router prune its shard and drop it.
 TEST(WalRecoveryTest, ReplayUpdatesFence) {
   TempDir dir("wal-fence");
   engine::EngineOptions opts;
@@ -1343,7 +1387,8 @@ TEST(EnginePersistenceTest, RebalanceRebuildsFences) {
   EXPECT_EQ(*got, internal::NaiveTopK(live, -kInf, kInf, 25));
 }
 
-// Snapshot serving loads the checkpointed fence and prunes read-only.
+// Snapshot serving builds each shard's fence at open from one read-only
+// scan of the checkpointed shard, and prunes with it.
 TEST(SnapshotServingTest, SnapshotPrunesWithCheckpointedFence) {
   TempDir dir("snap-fence");
   engine::EngineOptions opts;
@@ -1373,7 +1418,7 @@ TEST(SnapshotServingTest, SnapshotPrunesWithCheckpointedFence) {
     EXPECT_EQ(*got, internal::NaiveTopK(points, a, b, k));
     pruned += stats.shards_pruned;
   }
-  EXPECT_GT(pruned, 0u) << "snapshot never pruned: fence not loaded";
+  EXPECT_GT(pruned, 0u) << "snapshot never pruned: fence not built";
 }
 
 // ---------------------------------------------------------------------------

@@ -406,43 +406,6 @@ TEST(ShardFenceTest, BloomHasNoFalseNegatives) {
   EXPECT_FALSE(f.MightContain(2e4));
 }
 
-TEST(ShardFenceTest, SerializeRoundTrip) {
-  Rng rng(94);
-  auto pts = FencePoints(&rng, 250);
-  ShardFence f = ShardFence::Build(pts, {});
-  // Mutate past the build so non-trivial incremental state round-trips too.
-  f.Delete(pts[0]);
-  f.Delete(pts[1]);
-  std::vector<Point> live(pts.begin() + 2, pts.end());
-  auto words = f.Serialize();
-  auto g = ShardFence::Deserialize(words);
-  ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g->count(), f.count());
-  g->CheckAgainst(live);
-  // Behavioral equality on a probe grid.
-  for (int i = 0; i <= 100; ++i) {
-    double a = i * 1e2, b = a + 7.5e2;
-    FenceBound fa = f.RangeBound(a, b), fb = g->RangeBound(a, b);
-    EXPECT_EQ(fa.maybe_nonempty, fb.maybe_nonempty);
-    if (fa.maybe_nonempty) {
-      EXPECT_EQ(fa.best_score, fb.best_score);
-    }
-    EXPECT_EQ(f.MightContain(a), g->MightContain(a));
-  }
-}
-
-TEST(ShardFenceTest, DeserializeRejectsCorruption) {
-  Rng rng(95);
-  auto words = ShardFence::Build(FencePoints(&rng, 50), {}).Serialize();
-  EXPECT_FALSE(ShardFence::Deserialize({}).ok());
-  auto truncated = words;
-  truncated.resize(words.size() - 3);
-  EXPECT_FALSE(ShardFence::Deserialize(truncated).ok());
-  auto bad_magic = words;
-  bad_magic[0] ^= 1;
-  EXPECT_FALSE(ShardFence::Deserialize(bad_magic).ok());
-}
-
 TEST(ShardFenceTest, EmptyBuildAndGrowth) {
   ShardFence f = ShardFence::Build({}, {});
   EXPECT_EQ(f.count(), 0u);

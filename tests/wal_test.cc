@@ -386,6 +386,63 @@ TEST(WalTailFollowerTest, DeliversAcrossPollsAndSkipsUnchangedFiles) {
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7}));
 }
 
+// Formatting grows a segment before its header lands, so a poller or a
+// reopening writer can meet a grown-but-zero block 0. That is an
+// unformatted segment, not a corrupt one: a reader waits (kNotFound) and a
+// writer formats it. A zero header in front of frames, or a non-zero header
+// with a bad checksum, stays corrupt.
+TEST(WalTailFollowerTest, ZeroFilledSegmentIsNotCreatedYet) {
+  TempDir dir("tail-zero");
+  const std::string path = dir.File("t.wal");
+  {
+    std::ofstream f(path, std::ios::binary);
+    const std::vector<char> zeros(64 * sizeof(word_t), 0);
+    f.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+  }
+  WalTailFollower::Options fo;
+  fo.path = path;
+  fo.block_words = 64;
+  WalTailFollower follower(fo);
+  std::vector<std::uint64_t> seen;
+  auto cb = [&seen](const WriteAheadLog::Record& rec,
+                    std::span<const word_t>) -> Status {
+    seen.push_back(rec.lsn);
+    return Status::Ok();
+  };
+  EXPECT_EQ(follower.Poll(cb).status().code(), StatusCode::kNotFound);
+
+  WriteAheadLog::Options o;
+  o.path = path;
+  o.block_words = 64;
+  {
+    auto log = WriteAheadLog::Open(o);
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    EXPECT_EQ((*log)->Append(WriteAheadLog::RecordType::kLogical,
+                             Payload(1, 3)),
+              1u);
+    (*log)->Sync();
+  }
+  auto polled = follower.Poll(cb);
+  ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{1}));
+
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    const std::vector<char> zeros(64 * sizeof(word_t), 0);
+    f.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+  }
+  EXPECT_EQ(WalReader::Open(path, 64).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(WriteAheadLog::Open(o).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  FlipByte(path, 0);
+  EXPECT_EQ(WalReader::Open(path, 64).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(WriteAheadLog::Open(o).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST(WalTailFollowerTest, StartAfterSkipsCoveredRecords) {
   TempDir dir("tail-start");
   WriteAheadLog::Options o;
