@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "obs/metrics.h"
 #include "util/bits.h"
@@ -176,6 +177,7 @@ void Pager::DrainRetired() {
 
 BlockId Pager::RedirectWrite(BlockId id) {
   if (id < kReservedBlocks) return id;  // superblock protocol is its own
+  interval_changes_.push_back(id);  // new content for readers of this name
   auto it = map_.find(id);
   const BlockId home = it != map_.end() ? it->second : id;
   // In place only when the home location was born after the last publish:
@@ -190,6 +192,7 @@ BlockId Pager::RedirectWrite(BlockId id) {
 
 void Pager::CowFree(BlockId id) {
   DrainRetired();
+  interval_changes_.push_back(id);
   auto it = map_.find(id);
   if (it == map_.end()) {
     ReleaseLocation(id);
@@ -231,6 +234,23 @@ StatusOr<std::unique_ptr<Pager>> Pager::OpenOn(
   return pager;
 }
 
+Status Pager::AdvanceReadView(std::uint64_t expected_epoch,
+                              std::span<const BlockId> changed) {
+  if (!options_.read_only) {
+    return Status::FailedPrecondition("AdvanceReadView on a writable pager");
+  }
+  // Every name the interval did not touch still has the same bytes at the
+  // same location, which the caller's pin keeps intact: those frames stay.
+  // The drops run before the load, and a failed load keeps the old map, so
+  // a dropped name reloads from its old location either way.
+  if (epoch_ + 1 == expected_epoch) {
+    for (BlockId id : changed) pool_.Invalidate(id);
+  } else {
+    pool_.DropAll();
+  }
+  return LoadSuperblock(expected_epoch);
+}
+
 Status Pager::Checkpoint(std::span<const std::uint64_t> roots) {
   if (options_.read_only) {
     return Status::FailedPrecondition("pager is read-only (snapshot mode)");
@@ -263,8 +283,9 @@ Status Pager::Checkpoint(std::span<const std::uint64_t> roots) {
   // COW epoch publish) thus recycles one region pair forever instead of
   // leaking a region per checkpoint. A released spare's ids rejoin the
   // free list, and hence this checkpoint's persisted free set. (COW note:
-  // an epoch reader loads its superblock + spill once at open, so reusing
-  // a superseded spill region never races a pinned reader's data reads.)
+  // an epoch reader loads its superblock + spill only at open or advance,
+  // never the spare, so reusing a superseded spill region never races a
+  // pinned reader's data reads.)
   std::size_t stream_len = free_list_.size() + spill_count_;
   if (cow_) {
     std::lock_guard<std::mutex> lock(epochs_mu_);
@@ -428,6 +449,9 @@ Status Pager::Checkpoint(std::span<const std::uint64_t> roots) {
     // Everything the new checkpoint references is now protected: the next
     // interval's first write to any of it must redirect.
     interval_fresh_.clear();
+    // The collected names now describe exactly (E-1, E] for read views.
+    published_changes_.swap(interval_changes_);
+    interval_changes_.clear();
   } else {
     CaptureCheckpointLiveSet();
   }
@@ -534,7 +558,7 @@ Status Pager::AttachWalAndUndo() {
   return io_status();
 }
 
-Status Pager::LoadSuperblock() {
+Status Pager::LoadSuperblock(std::uint64_t expected_epoch) {
   const std::uint32_t b = B();
   if (b < kSuperHeaderWords) {
     return Status::FailedPrecondition("block too small for a superblock");
@@ -566,25 +590,23 @@ Status Pager::LoadSuperblock() {
     return Status::FailedPrecondition(
         "no valid superblock (never checkpointed, or corrupt)");
   }
+  if (expected_epoch != 0 && best_epoch != expected_epoch) {
+    return Status::FailedPrecondition(
+        "newest valid superblock is epoch " + std::to_string(best_epoch) +
+        ", expected " + std::to_string(expected_epoch));
+  }
   if (super[kWBlockWords] != b) {
     return Status::FailedPrecondition("block_words mismatch with checkpoint");
   }
-  next_block_ = super[kWNextBlock];
-  blocks_in_use_ = super[kWBlocksInUse];
-  epoch_ = best_epoch;
-  wal_ckpt_lsn_ = super[kWWalLsn];
   const std::size_t root_count = super[kWRootCount];
   const std::size_t free_count = super[kWFreeCount];
   const std::uint32_t spill_blocks =
       static_cast<std::uint32_t>(super[kWSpillBlocks]);
-  spill_start_ = super[kWSpillStart];
-  spill_count_ = spill_blocks;
+  const BlockId spill_start = super[kWSpillStart];
   if (root_count > b - kSuperHeaderWords) {
     return Status::FailedPrecondition("corrupt superblock root count");
   }
-  std::size_t w = kSuperHeaderWords;
-  roots_.assign(super.begin() + w, super.begin() + w + root_count);
-  w += root_count;
+  std::size_t w = kSuperHeaderWords + root_count;
 
   // The allocator stream: free ids, then (name, location) map pairs —
   // inline after the roots, spilling into the reserved region.
@@ -599,14 +621,24 @@ Status Pager::LoadSuperblock() {
     return Status::FailedPrecondition("corrupt superblock allocator stream");
   }
   if (spill_blocks > 0) {
-    if (spill_start_ + spill_blocks > device_->NumBlocks()) {
+    if (spill_start + spill_blocks > device_->NumBlocks()) {
       return Status::FailedPrecondition("truncated allocator-stream spill");
     }
     spill_scratch_.assign(std::size_t{spill_blocks} * b, 0);
-    device_->ReadRun(spill_start_, spill_blocks, spill_scratch_.data());
+    device_->ReadRun(spill_start, spill_blocks, spill_scratch_.data());
     stream.insert(stream.end(), spill_scratch_.begin(),
                   spill_scratch_.begin() + spill);
   }
+
+  // Every check passed: commit.
+  next_block_ = super[kWNextBlock];
+  blocks_in_use_ = super[kWBlocksInUse];
+  epoch_ = best_epoch;
+  wal_ckpt_lsn_ = super[kWWalLsn];
+  spill_start_ = spill_start;
+  spill_count_ = spill_blocks;
+  roots_.assign(super.begin() + kSuperHeaderWords,
+                super.begin() + kSuperHeaderWords + root_count);
   free_list_.assign(stream.begin(), stream.begin() + free_count);
 
   // COW state: the flag in the file wins over the option — a COW device's

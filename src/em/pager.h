@@ -380,11 +380,33 @@ class Pager : private WriteBarrier, private BlockTranslator {
   /// ShareReadView() alias of a live COW pager, whose newest published
   /// checkpoint it loads. Forces read_only, never attaches a WAL, works on
   /// any backend (including the in-memory one: the view aliases live
-  /// memory, there is no file to reopen). The caller must hold an EpochPin
-  /// on the owning pager for this pager's whole lifetime, and the owning
+  /// memory, there is no file to reopen). While it serves reads the caller
+  /// must hold an EpochPin on the owning pager at or before the epoch this
+  /// pager has loaded (AdvanceReadView moves it forward), and the owning
   /// device must outlive it.
   static StatusOr<std::unique_ptr<Pager>> OpenOn(
       std::unique_ptr<BlockDevice> device, EmOptions options);
+
+  /// Writer side, COW only: the names whose blocks the last publish changed
+  /// — every name written back or freed in the closed interval (E-1, E],
+  /// where E is published_epoch(). A checkpoint that fails to publish keeps
+  /// collecting, so after it the next publish reports a superset.
+  const std::vector<BlockId>& published_changes() const {
+    return published_changes_;
+  }
+
+  /// Read-view side: moves an OpenOn() pager to the owner's epoch
+  /// `expected_epoch` in place, keeping its pool warm. One epoch behind, it
+  /// drops only the cached names in `changed` (the owner's
+  /// published_changes() for that epoch); further behind, it drops the
+  /// whole pool. Then it reloads the newest superblock. Fails, leaving the
+  /// roots and translation map of the old epoch, when the newest valid
+  /// superblock is not `expected_epoch` (an unreadable newest slot falls
+  /// back to an older one, whose blocks the caller's pin may no longer
+  /// protect). The caller must hold a pin at or before `expected_epoch`
+  /// and must have no page of this pager pinned.
+  Status AdvanceReadView(std::uint64_t expected_epoch,
+                         std::span<const BlockId> changed);
 
   /// Fixed words at the head of the superblock, preceding roots and the
   /// inline free list. EmOptions::Validate() enforces block_words >= this,
@@ -401,9 +423,12 @@ class Pager : private WriteBarrier, private BlockTranslator {
 
   Pager(const EmOptions& options, std::unique_ptr<BlockDevice> device);
 
-  /// Restores allocator state + roots from the superblock. Non-OK on a
-  /// device that was never checkpointed or disagrees with `options_`.
-  Status LoadSuperblock();
+  /// Restores allocator state + roots from the newest valid superblock.
+  /// Non-OK on a device that was never checkpointed, disagrees with
+  /// `options_`, or (when `expected_epoch` is non-zero) whose newest valid
+  /// superblock has another epoch. Transactional: every check runs before
+  /// any member changes, so a failed load leaves the pager as it was.
+  Status LoadSuperblock(std::uint64_t expected_epoch = 0);
 
   // ---- COW epoch machinery (cow_ only; see DESIGN.md §14) ----
   //
@@ -508,12 +533,14 @@ class Pager : private WriteBarrier, private BlockTranslator {
   std::vector<word_t> preimage_scratch_;
 
   // COW epoch state. Writer-thread only: map_, interval_fresh_, deferred_,
-  // orphans_ (plus free_list_ above). Shared with pinning threads, guarded
+  // the change lists, orphans_ (plus free_list_ above). Shared with pinning threads, guarded
   // by epochs_mu_: pins_, retire_queue_, retire_ready_.
   bool cow_ = false;
   std::unordered_map<BlockId, BlockId> map_;  // name -> location (else id.)
   std::unordered_set<BlockId> interval_fresh_;  // locations born post-publish
   std::vector<BlockId> deferred_;  // superseded this interval
+  std::vector<BlockId> interval_changes_;   // names written back or freed
+  std::vector<BlockId> published_changes_;  // the same, for (E-1, E]
   std::unordered_set<BlockId> orphans_;  // retired locations, names held
   mutable std::mutex epochs_mu_;
   std::map<std::uint64_t, std::uint64_t> pins_;  // epoch -> pin count

@@ -157,6 +157,10 @@ void ShardedTopkEngine::InitTelemetry() {
   mset_.shards_pruned_total = r.GetCounter("tokra_engine_shards_pruned_total");
   mset_.fence_checks_total = r.GetCounter("tokra_engine_fence_checks_total");
   mset_.query_waves_total = r.GetCounter("tokra_engine_query_waves_total");
+  mset_.view_advances_total =
+      r.GetCounter("tokra_engine_view_advances_total");
+  mset_.view_full_reloads_total =
+      r.GetCounter("tokra_engine_view_full_reloads_total");
   mset_.em.eviction_stall_us = r.GetHistogram("tokra_em_eviction_stall_us");
   mset_.em.wal_append_us = r.GetHistogram("tokra_wal_append_us");
   mset_.em.wal_fsync_us = r.GetHistogram("tokra_wal_fsync_us");
@@ -746,14 +750,16 @@ StatusOr<std::vector<Point>> ShardedTopkEngine::TopKLocked(
       // (rotating start so concurrent readers spread out), blocking on our
       // rotation slot only if every handle is busy. The handle mutex
       // serializes queries on ONE handle; the shard mutex — the writer's
-      // lock — is never touched.
-      const std::size_t nh = view->handles.size();
+      // lock — is never touched. The handle may already serve a newer
+      // epoch than the view; its publish's pin protects it (§14.4).
+      const ReadHandles& handles = *view->handles;
+      const std::size_t nh = handles.size();
       const std::uint32_t start =
           view->next.fetch_add(1, std::memory_order_relaxed);
       ReadHandle* handle = nullptr;
       std::unique_lock<std::mutex> lk;
       for (std::size_t t = 0; t < nh && handle == nullptr; ++t) {
-        ReadHandle* c = view->handles[(start + t) % nh].get();
+        ReadHandle* c = handles[(start + t) % nh].get();
         std::unique_lock<std::mutex> l(c->mu, std::try_to_lock);
         if (l.owns_lock()) {
           handle = c;
@@ -761,11 +767,17 @@ StatusOr<std::vector<Point>> ShardedTopkEngine::TopKLocked(
         }
       }
       if (handle == nullptr) {
-        handle = view->handles[start % nh].get();
+        handle = handles[start % nh].get();
         lk = std::unique_lock<std::mutex>(handle->mu);
       }
-      run_one(j, handle->pager.get(), handle->index.get());
-      return;
+      if (handle->index != nullptr) {
+        run_one(j, handle->pager.get(), handle->index.get());
+        return;
+      }
+      // The handle lost its index in a failed advance: serve this probe
+      // locked. Drop the handle first — the writer holds sh.mu while it
+      // waits for handle mutexes.
+      lk.unlock();
     }
     Shard& sh = *shards_[s1 + j];
     std::lock_guard<std::mutex> g(sh.mu);
@@ -1156,8 +1168,8 @@ void ShardedTopkEngine::PublishShardLocked(std::size_t i, Shard& sh) {
 
 void ShardedTopkEngine::StoreShardView(std::size_t i, Shard& sh,
                                        em::EpochPin pin) const {
-  // An abandoned view (any failure below) is destroyed, which closes its
-  // handles and releases the pin.
+  // An abandoned view (any failure below) is destroyed, which releases the
+  // pin; the published view keeps its own.
   auto view = std::make_shared<ShardView>();
   view->pin = std::move(pin);
   {
@@ -1166,21 +1178,62 @@ void ShardedTopkEngine::StoreShardView(std::size_t i, Shard& sh,
     std::lock_guard<std::mutex> fg(sh.fence_mu);
     view->fence = sh.fence;
   }
-  const std::uint32_t nh = options_.threads + 1;
-  view->handles.reserve(nh);
-  for (std::uint32_t h = 0; h < nh; ++h) {
-    auto dev = sh.pager->ShareReadView();
-    if (dev == nullptr) return;  // backend can't share views: locked serving
-    auto pg = em::Pager::OpenOn(std::move(dev), options_.ShardEm(
-                                    static_cast<std::uint32_t>(i)));
-    if (!pg.ok()) return;
-    auto handle = std::make_unique<ReadHandle>();
-    handle->pager = std::move(*pg);
-    auto idx = core::TopkIndex::Open(handle->pager.get());
-    if (!idx.ok()) return;
-    handle->index = std::move(*idx);
-    view->handles.push_back(std::move(handle));
+  const std::uint64_t epoch = view->pin.epoch();
+  if (sh.handles == nullptr) {
+    // First publication (a snapshot's only one): open the shard's handles.
+    auto handles = std::make_shared<ReadHandles>();
+    const std::uint32_t nh = options_.threads + 1;
+    handles->reserve(nh);
+    for (std::uint32_t h = 0; h < nh; ++h) {
+      auto dev = sh.pager->ShareReadView();
+      if (dev == nullptr) return;  // backend can't share views: locked serving
+      auto pg = em::Pager::OpenOn(std::move(dev), options_.ShardEm(
+                                      static_cast<std::uint32_t>(i)));
+      if (!pg.ok()) return;
+      auto handle = std::make_unique<ReadHandle>();
+      handle->pager = std::move(*pg);
+      auto idx = core::TopkIndex::Open(handle->pager.get());
+      if (!idx.ok()) return;
+      handle->index = std::move(*idx);
+      handle->epoch = epoch;
+      handles->push_back(std::move(handle));
+    }
+    sh.handles = std::move(handles);
+  } else {
+    // Later publishes advance each handle in place (DESIGN.md §14.4). A
+    // probe holds the handle's mu for its whole duration, so this waits for
+    // at most one probe per handle; readers never wait on the writer. A
+    // failure keeps the previous view, whose pin also protects every newer
+    // epoch a handle may already serve.
+    const std::vector<em::BlockId>& changed = sh.pager->published_changes();
+    for (const auto& h : *sh.handles) {
+      std::lock_guard<std::mutex> g(h->mu);
+      if (h->epoch == epoch && h->index != nullptr) continue;
+      const bool full = h->pager->published_epoch() + 1 != epoch;
+      if (!h->pager->AdvanceReadView(epoch, changed).ok()) return;
+      n_view_advances_.fetch_add(1, std::memory_order_relaxed);
+      if (mset_.view_advances_total != nullptr) {
+        mset_.view_advances_total->Add(1);
+      }
+      if (full) {
+        n_view_full_reloads_.fetch_add(1, std::memory_order_relaxed);
+        if (mset_.view_full_reloads_total != nullptr) {
+          mset_.view_full_reloads_total->Add(1);
+        }
+      }
+      // The old index's in-memory state describes the old epoch: it must
+      // not outlive the advance, even when the reopen fails.
+      auto idx = core::TopkIndex::Open(h->pager.get());
+      if (!idx.ok()) {
+        h->index.reset();
+        h->epoch = 0;
+        return;
+      }
+      h->index = std::move(*idx);
+      h->epoch = epoch;
+    }
   }
+  view->handles = sh.handles;
   sh.StoreView(std::move(view));
 }
 
@@ -1576,14 +1629,13 @@ em::IoStats ShardedTopkEngine::ShardIoStats(const Shard& sh) const {
     std::lock_guard<std::mutex> g(sh.mu);
     total = sh.pager->stats();
   }
-  if (!snapshot_) return total;
-  // A snapshot's view is never replaced, so its handles' counters only
-  // grow; an MVCC view is rebuilt at every publication and is left out.
-  if (const auto view = sh.LoadView()) {
-    for (const auto& h : view->handles) {
-      std::lock_guard<std::mutex> g(h->mu);
-      total += h->pager->stats();
-    }
+  // A snapshot's handles serve every probe and nothing else. An MVCC
+  // engine's are left out: each publish reloads their superblocks, and
+  // those reads would be charged to updates.
+  if (!snapshot_ || sh.handles == nullptr) return total;
+  for (const auto& h : *sh.handles) {
+    std::lock_guard<std::mutex> g(h->mu);
+    total += h->pager->stats();
   }
   return total;
 }
@@ -1631,6 +1683,8 @@ EngineCounters ShardedTopkEngine::counters() const {
   c.fence_checks = n_fence_checks_.load(std::memory_order_relaxed);
   c.query_waves = n_query_waves_.load(std::memory_order_relaxed);
   c.query_shard_locks = n_query_shard_locks_.load(std::memory_order_relaxed);
+  c.view_advances = n_view_advances_.load(std::memory_order_relaxed);
+  c.view_full_reloads = n_view_full_reloads_.load(std::memory_order_relaxed);
   return c;
 }
 

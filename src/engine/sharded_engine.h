@@ -24,7 +24,9 @@
 //     the service layer safe duplicate/missing rejection that the raw
 //     TopkIndex (per the paper's distinctness assumption) does not check.
 // Lock order: topology -> shard -> registry; no path takes two shard
-// mutexes, so the engine is deadlock-free.
+// mutexes, so the engine is deadlock-free. An MVCC publish also takes each
+// read handle's mutex under the shard mutex; a probe holds one handle
+// mutex and releases it before it would ever take the shard mutex.
 
 #ifndef TOKRA_ENGINE_SHARDED_ENGINE_H_
 #define TOKRA_ENGINE_SHARDED_ENGINE_H_
@@ -117,6 +119,9 @@ struct EngineMetricSet {
   obs::Counter* shards_pruned_total = nullptr;
   obs::Counter* fence_checks_total = nullptr;
   obs::Counter* query_waves_total = nullptr;
+  // MVCC read-handle advances (DESIGN.md §14.4).
+  obs::Counter* view_advances_total = nullptr;
+  obs::Counter* view_full_reloads_total = nullptr;
   // The em layer's sinks (eviction stall, WAL append/fsync, pager
   // checkpoint), pointed into the same registry.
   em::EmMetrics em;
@@ -137,6 +142,10 @@ struct EngineCounters {
                                         ///< query path; stays 0 while every
                                         ///< probe rides a read view —
                                         ///< the lock-free-reads assertion
+  std::uint64_t view_advances = 0;  ///< read handles moved to a new epoch
+  std::uint64_t view_full_reloads = 0;  ///< of those, advances that dropped
+                                        ///< the handle's whole pool (it was
+                                        ///< more than one epoch behind)
 };
 
 class ShardedTopkEngine {
@@ -261,10 +270,10 @@ class ShardedTopkEngine {
   std::vector<double> ShardLowerBounds() const;
 
   /// Sum of all shards' pager counters. Rebalance replaces shard pagers, so
-  /// the aggregate restarts from zero after one. A snapshot's view handles
-  /// are counted too (they serve every probe, and its views never change,
-  /// so the sum stays monotone). An MVCC engine's view handles are not:
-  /// each publication replaces them, so its aggregate covers the writer's
+  /// the aggregate restarts from zero after one. A snapshot's read handles
+  /// are counted too (they serve every probe). An MVCC engine's are not:
+  /// every publication reloads their superblocks, and counting those reads
+  /// would charge them to updates, so its aggregate covers the writer's
   /// live pagers only and omits lock-free probe reads.
   em::IoStats AggregatedIoStats() const;
   /// Sum of all shards' Pager::Space() — file_blocks is the volume a full
@@ -294,30 +303,36 @@ class ShardedTopkEngine {
   std::string DumpMetrics() const;
 
  private:
-  /// One lock-free read handle inside a published ShardView — a read-only
-  /// pager over a shared read view of the shard's device, plus an index
-  /// view opened on that pager. mu serializes queries on this handle only
-  /// (rotation finds a free one).
+  /// One lock-free read handle — a read-only pager over a shared read
+  /// view of the shard's device, plus an index opened on that pager. It
+  /// belongs to its shard for the shard's whole life: each MVCC publish
+  /// advances it in place to the new epoch (DESIGN.md §14.4), so its pool
+  /// stays warm. mu serializes queries on this handle and the advance;
+  /// rotation finds a free one. `epoch` is the epoch `index` serves; a
+  /// null index (reopen failed after an advance) sends probes to the
+  /// locked path until the next advance.
   struct ReadHandle {
     std::unique_ptr<em::Pager> pager;
     std::unique_ptr<core::TopkIndex> index;
+    std::uint64_t epoch = 0;
     std::mutex mu;
   };
+  using ReadHandles = std::vector<std::unique_ptr<ReadHandle>>;
 
-  /// An immutable image of one shard, read without the shard mutex: an
-  /// MVCC epoch published after a per-shard checkpoint (DESIGN.md §14), or
-  /// a snapshot shard's only view (DESIGN.md §8.3). The pin is declared
-  /// FIRST so it is released LAST: the handles' pagers read blocks the pin
-  /// keeps alive (retirement waits for the oldest pin), so they must close
-  /// before the pin returns those blocks to the writer's free list. A
-  /// snapshot's pin is empty: nothing writes its files.
+  /// What a reader captures of one shard to route and probe it without the
+  /// shard mutex: an MVCC epoch published after a per-shard checkpoint
+  /// (DESIGN.md §14), or a snapshot shard's only view (DESIGN.md §8.3). The
+  /// handles are the shard's own set, shared with every view; they may
+  /// already serve a newer epoch than `pin`, which then keeps that epoch's
+  /// blocks too (retirement waits for the oldest pin). A snapshot's pin is
+  /// empty: nothing writes its files.
   struct ShardView {
     em::EpochPin pin;
     // Fence snapshot taken at publication: the router prunes with the
-    // view's own fence so routing decisions match the data the view serves
+    // view's own fence, an upper bound on the image it was published with
     // (the live fence may already reflect post-epoch updates).
     sketch::ShardFence fence;
-    std::vector<std::unique_ptr<ReadHandle>> handles;
+    std::shared_ptr<const ReadHandles> handles;
     mutable std::atomic<std::uint32_t> next{0};
   };
 
@@ -326,6 +341,10 @@ class ShardedTopkEngine {
     explicit Shard(const em::EmOptions& em)
         : pager(std::make_unique<em::Pager>(em)) {}
     std::unique_ptr<em::Pager> pager;
+    // The threads + 1 read handles every published view shares; null until
+    // the first publication. Declared after `pager`, so destroyed before
+    // it: the handles alias its device. Written under mu only.
+    std::shared_ptr<const ReadHandles> handles;
     std::unique_ptr<core::TopkIndex> index;
     mutable std::mutex mu;
     std::atomic<std::uint64_t> approx_size{0};
@@ -347,9 +366,8 @@ class ShardedTopkEngine {
     // to copy or replace the pointer, never across a probe. (libstdc++ 12's
     // atomic<shared_ptr> load releases its internal lock with a relaxed
     // store, which leaves the pointer read racing the next store.) `view`
-    // is declared LAST so it is destroyed FIRST — its handles' pagers alias
-    // this shard's device and its pin unregisters with this shard's pager,
-    // both of which must still be alive.
+    // is declared LAST so it is destroyed FIRST — its pin unregisters with
+    // this shard's pager, which must still be alive.
     mutable std::mutex view_mu;
     std::shared_ptr<const ShardView> view;
 
@@ -450,14 +468,18 @@ class ShardedTopkEngine {
   /// serving the older epoch.
   void PublishShardLocked(std::size_t i, Shard& sh);
 
-  /// Builds shard `i`'s view — `pin`, a snapshot of the fence, and
-  /// threads + 1 read handles (ShareReadView -> Pager::OpenOn ->
-  /// TopkIndex::Open) — and publishes it with sh.StoreView. Leaves sh.view
-  /// untouched when the backend cannot share a read view or a handle fails
-  /// to open. Caller holds sh.mu (or owns sh before publication).
+  /// Builds shard `i`'s view — `pin`, a snapshot of the fence, and the
+  /// shard's read handles at pin's epoch — and publishes it with
+  /// sh.StoreView. The first call (a snapshot's only one) opens the
+  /// threads + 1 handles (ShareReadView -> Pager::OpenOn ->
+  /// TopkIndex::Open); each later one advances every handle in place under
+  /// its mu (Pager::AdvanceReadView with the writer's published_changes(),
+  /// then TopkIndex::Open). Leaves sh.view untouched when the backend
+  /// cannot share a read view or a handle fails to open or advance. Caller
+  /// holds sh.mu (or owns sh before publication).
   void StoreShardView(std::size_t i, Shard& sh, em::EpochPin pin) const;
 
-  /// sh's pager counters plus, on a snapshot, its view handles'. Takes
+  /// sh's pager counters plus, on a snapshot, its read handles'. Takes
   /// sh.mu and each handle's mu in turn.
   em::IoStats ShardIoStats(const Shard& sh) const;
 
@@ -503,6 +525,8 @@ class ShardedTopkEngine {
   // count every probe here; MVCC and snapshot engines count only locked
   // fallbacks, so a test can assert 0 to prove every probe rode a view.
   mutable std::atomic<std::uint64_t> n_query_shard_locks_{0};
+  mutable std::atomic<std::uint64_t> n_view_advances_{0},
+      n_view_full_reloads_{0};
 };
 
 }  // namespace tokra::engine

@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
 #include <future>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -722,6 +726,182 @@ TEST(MvccEngineTest, UpdateWritesDoNotGrowWithShardSize) {
   const double large = writes_per_insert(32000);
   EXPECT_LT(large - small, 24.0) << "n=2000: " << small
                                  << " writes/insert, n=32000: " << large;
+}
+
+// A publish advances the shard's read handles in place instead of opening
+// cold ones: after an insert far outside the queried range, a repeated
+// narrow query reads only the blocks the insert changed. 1 shard, 2
+// handles, B = 128, 64 frames, 4000 points, kMem and kMmap alike: the cold
+// query read 30 blocks and each query after an insert 11; with handles
+// reopened at every publish the latter read 31.
+void ExpectPublishKeepsReadHandlesWarm(EngineOptions o) {
+  Rng rng(41);
+  std::vector<Point> live = RandomPoints(&rng, 4000);
+  o.mvcc = true;
+  o.telemetry.enabled = true;
+  auto engine = ShardedTopkEngine::Build(live, o).value();
+  auto query = [&] {
+    EngineQueryStats stats;
+    auto got = engine->TopK(400.0, 402.0, 8, &stats);
+    EXPECT_TRUE(got.ok());
+    if (got.ok()) {
+      ExpectPointsEqual(*got, internal::NaiveTopK(live, 400.0, 402.0, 8));
+    }
+    return stats.io.reads;
+  };
+  // Four runs warm both handles (rotation alternates between them).
+  const std::uint64_t cold = query();
+  for (int i = 0; i < 3; ++i) query();
+  ASSERT_GT(cold, 0u);
+  for (int round = 0; round < 2; ++round) {
+    const Point p{2000.0 + round, 2.0 + round};
+    ASSERT_TRUE(engine->Insert(p).ok());
+    live.push_back(p);
+    for (int i = 0; i < 2; ++i) {
+      const std::uint64_t reads = query();
+      EXPECT_LT(2 * reads, cold) << "round " << round << " run " << i
+                                 << ": " << reads << " reads, cold " << cold;
+    }
+  }
+  const EngineCounters c = engine->counters();
+  EXPECT_EQ(c.view_advances, 2u * (o.threads + 1));
+  EXPECT_EQ(c.view_full_reloads, 0u);
+  EXPECT_EQ(c.query_shard_locks, 0u);
+  const std::string dump = engine->DumpMetrics();
+  EXPECT_NE(dump.find("tokra_engine_view_advances_total " +
+                      std::to_string(c.view_advances) + "\n"),
+            std::string::npos);
+  EXPECT_NE(dump.find("tokra_engine_view_full_reloads_total 0\n"),
+            std::string::npos);
+  engine->CheckInvariants();
+}
+
+TEST(MvccEngineTest, PublishKeepsReadHandlesWarm) {
+  ExpectPublishKeepsReadHandlesWarm(Opts(1, 1));
+}
+
+// The same on a file-backed kMmap engine, whose handles borrow frames
+// straight from the mapping: borrowed frames of unchanged blocks survive
+// the advance.
+TEST(MvccEngineTest, PublishKeepsReadHandlesWarmOnMmap) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("tokra-engine-warm-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  EngineOptions o = Opts(1, 1);
+  o.em.backend = em::Backend::kMmap;
+  o.storage_dir = dir.string();
+  ExpectPublishKeepsReadHandlesWarm(o);
+  std::filesystem::remove_all(dir);
+}
+
+// Linearizability where answers change: one writer inserts, in a fixed
+// order, points that outscore every base point, so each prefix of its
+// inserts has a different top-16. A query's answer may combine shards at
+// different epochs (the engine takes no cross-shard snapshot), but each
+// shard's contribution must be that shard's state after some prefix of its
+// own inserts, published while the query ran: the prefix counts at least
+// the inserts acknowledged before the query began and at most those issued
+// before it returned (an issued insert may take effect before it returns).
+TEST(MvccEngineTest, ReadersSeeAPublishedPrefixWhileTopKChanges) {
+  std::vector<Point> base;
+  for (int i = 0; i < 64; ++i) base.push_back({i * 10.0, 1.0 + i * 1e-3});
+  auto engine = ShardedTopkEngine::Build(base, MvccOpts(4, 4)).value();
+  const std::vector<double> bounds = engine->ShardLowerBounds();
+  auto shard_of = [&](double x) {
+    return static_cast<std::size_t>(
+        std::upper_bound(bounds.begin(), bounds.end(), x) - bounds.begin() -
+        1);
+  };
+
+  constexpr int kInserts = 120;
+  constexpr int kReaders = 3;
+  std::vector<Point> inserts;
+  for (int i = 0; i < kInserts; ++i) {
+    // Spread over every shard's range, each new point the highest yet.
+    inserts.push_back({5.0 + (i * 37 % 64) * 10.0 + i / 64, 10.0 + i});
+  }
+  // before[s][i]: how many of the first i inserts went to shard s.
+  std::vector<std::vector<int>> before(
+      bounds.size(), std::vector<int>(kInserts + 1, 0));
+  for (std::size_t s = 0; s < bounds.size(); ++s) {
+    for (int i = 0; i < kInserts; ++i) {
+      before[s][i + 1] =
+          before[s][i] + (shard_of(inserts[i].x) == s ? 1 : 0);
+    }
+  }
+  // Inserts outscore the base and grow in score, so a shard's prefix shows
+  // in the answer by its highest insert: the witness prefix ends there, or
+  // is the acknowledged one when none of the shard's inserts made the cut.
+  auto consistent = [&](const std::vector<Point>& got, int lo, int hi) {
+    std::vector<int> m(bounds.size());
+    for (std::size_t s = 0; s < bounds.size(); ++s) m[s] = before[s][lo];
+    for (const Point& p : got) {
+      if (p.score < 10.0) continue;  // a base point
+      const int i = static_cast<int>(p.score - 10.0);
+      const std::size_t s = shard_of(p.x);
+      m[s] = std::max(m[s], before[s][i + 1]);
+    }
+    std::vector<Point> state = base;
+    for (int i = 0; i < kInserts; ++i) {
+      const std::size_t s = shard_of(inserts[i].x);
+      if (m[s] > before[s][hi]) return false;  // not issued yet
+      if (before[s][i] < m[s]) state.push_back(inserts[i]);
+    }
+    const std::vector<Point> want = internal::NaiveTopK(state, -kInf, kInf, 16);
+    if (got.size() != want.size()) return false;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if (got[i].x != want[i].x || got[i].score != want[i].score) return false;
+    }
+    return true;
+  };
+
+  std::atomic<int> issued{0}, acked{0}, running{0};
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::atomic<std::uint64_t> checked{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      bool first = true;
+      while (!stop.load(std::memory_order_acquire)) {
+        const int lo = acked.load(std::memory_order_acquire);
+        auto r = engine->TopK(-kInf, kInf, 16);
+        const int hi = issued.load(std::memory_order_acquire);
+        if (!r.ok() || !consistent(*r, lo, hi)) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+        checked.fetch_add(1, std::memory_order_relaxed);
+        if (first) running.fetch_add(1, std::memory_order_release);
+        first = false;
+      }
+    });
+  }
+  // Updates are fast enough to finish before a reader starts: wait until
+  // the readers are querying.
+  while (running.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
+  }
+  for (const Point& p : inserts) {
+    issued.fetch_add(1, std::memory_order_release);
+    if (!engine->Insert(p).ok()) {
+      ADD_FAILURE() << "insert of x=" << p.x << " refused";
+      break;
+    }
+    acked.fetch_add(1, std::memory_order_release);
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0) << "of " << checked.load() << " answers";
+  EXPECT_GT(checked.load(), 0u);
+  EXPECT_EQ(engine->counters().query_shard_locks, 0u);
+  std::vector<Point> all = base;
+  all.insert(all.end(), inserts.begin(), inserts.end());
+  auto last = engine->TopK(-kInf, kInf, 16);
+  ASSERT_TRUE(last.ok());
+  ExpectPointsEqual(*last, internal::NaiveTopK(all, -kInf, kInf, 16));
+  engine->CheckInvariants();
 }
 
 // A rebalance replaces every shard (and its epoch views) wholesale; the

@@ -1483,6 +1483,74 @@ TEST(CowEpochTest, PinnedEpochServesFrozenContentUnderChurn) {
   EXPECT_EQ(pager.PinnedEpochs(), 0u);
 }
 
+// A read view advances only to the epoch its caller expects. With the
+// newest superblock slot unreadable, the load would fall back to the older
+// slot; the advance must fail instead and leave the view serving its own
+// epoch — roots, translation map and every block. Once the slot reads
+// again, the same advance succeeds: it serves the new epoch and keeps the
+// cached blocks the interval did not change.
+TEST(CowEpochTest, FailedAdvanceKeepsPreviousEpoch) {
+  TempDir dir("cow-advance");
+  em::Pager pager(CowOpts(dir.File("dev.blk")));
+  std::vector<em::BlockId> ids;
+  for (int i = 0; i < 32; ++i) ids.push_back(pager.Allocate());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    pager.Create(ids[i]).Set(0, 1000 + i);
+  }
+  const std::uint64_t old_roots[1] = {ids[0]};
+  ASSERT_TRUE(pager.Checkpoint(old_roots).ok());
+  const std::uint64_t e = pager.published_epoch();
+  em::EpochPin pin = pager.PinEpoch();
+  em::EmOptions view_opts = CowOpts(dir.File("dev.blk"));
+  view_opts.pool_frames = 64;  // the view caches every block
+  auto view = em::Pager::OpenOn(pager.ShareReadView(), view_opts);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_EQ((*view)->Fetch(ids[i]).Get(0), 1000 + i);
+  }
+
+  // The next epoch rewrites the even blocks only.
+  auto expect_new = [&](std::size_t i) {
+    return i % 2 == 0 ? 5000 + i : 1000 + i;
+  };
+  for (std::size_t i = 0; i < ids.size(); i += 2) {
+    pager.Fetch(ids[i]).Set(0, 5000 + i);
+  }
+  const std::uint64_t new_roots[1] = {ids[1]};
+  ASSERT_TRUE(pager.Checkpoint(new_roots).ok());
+  ASSERT_EQ(pager.published_epoch(), e + 1);
+
+  // Flip one word of the newest slot: its checksum no longer matches.
+  const em::BlockId slot = (e + 1) % em::Pager::kReservedBlocks;
+  std::vector<em::word_t> super(pager.B());
+  pager.device()->Read(slot, super.data());
+  super[3] ^= 1;
+  pager.device()->Write(slot, super.data());
+
+  EXPECT_FALSE((*view)->AdvanceReadView(e + 1, pager.published_changes()).ok());
+  EXPECT_EQ((*view)->published_epoch(), e);
+  EXPECT_EQ((*view)->roots(),
+            std::vector<std::uint64_t>(old_roots, old_roots + 1));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ((*view)->Fetch(ids[i]).Get(0), 1000 + i);
+  }
+
+  super[3] ^= 1;
+  pager.device()->Write(slot, super.data());
+  ASSERT_TRUE((*view)->AdvanceReadView(e + 1, pager.published_changes()).ok());
+  EXPECT_EQ((*view)->published_epoch(), e + 1);
+  EXPECT_EQ((*view)->roots(),
+            std::vector<std::uint64_t>(new_roots, new_roots + 1));
+  const std::uint64_t reads = (*view)->stats().reads;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ((*view)->Fetch(ids[i]).Get(0), expect_new(i));
+  }
+  EXPECT_EQ((*view)->stats().reads - reads, ids.size() / 2)
+      << "only the rewritten blocks reload";
+  view->reset();
+  pin.Release();
+}
+
 // Superseded blocks return to the free list once no pin can reach them:
 // steady-state churn does not grow the file, and after the pins are gone
 // allocated/free space returns to the post-baseline shape.
