@@ -125,7 +125,10 @@ inline std::string JsonCell(const std::string& cell) {
     double v = std::strtod(cell.c_str(), &end);
     if (end != nullptr && *end == '\0' && std::isfinite(v)) return cell;
   }
-  return "\"" + JsonEscape(cell) + "\"";
+  std::string out = "\"";
+  out += JsonEscape(cell);
+  out += '"';
+  return out;
 }
 
 inline void WriteJson() {

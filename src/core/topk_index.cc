@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <set>
 
 #include "util/bits.h"
@@ -172,7 +173,8 @@ StatusOr<std::vector<Point>> TopkIndex::TopK(double x1, double x2,
   if (k == 0) return std::vector<Point>{};
 
   // Large k: the pilot PST answers directly at O(k/B).
-  if (k >= PilotCutoff()) {
+  const std::uint64_t cutoff = PilotCutoff();
+  if (k >= cutoff) {
     if (stats != nullptr) stats->path = QueryPath::kPilotDirect;
     return pilot_->TopK(x1, x2, k);
   }
@@ -182,25 +184,30 @@ StatusOr<std::vector<Point>> TopkIndex::TopK(double x1, double x2,
   }
 
   // Approximate range k-selection -> threshold -> 3-sided report -> select.
-  // The retry loop covers the case where the approximate threshold
-  // under-delivers; each retry doubles the requested rank, capped by the
-  // large-k path. Starting the ask below k exploits the selectors' one-sided
-  // slack (returned rank >= ask): the loop converges geometrically onto a
-  // tight threshold, keeping the reported candidate volume O(k) even when
-  // the selector's approximation constant is large.
+  // [x1, x2] is decomposed once (the selector's O(lg_B n) walk); every
+  // attempt below re-selects on the held decomposition. The retry loop
+  // covers the case where the approximate threshold under-delivers; each
+  // retry doubles the requested rank, capped by the large-k path. Starting
+  // the ask below k exploits the selectors' one-sided slack (returned rank
+  // >= ask): the loop converges geometrically onto a tight threshold,
+  // keeping the reported candidate volume O(k) even when the selector's
+  // approximation constant is large. Every ask stays below the cutoff, which
+  // is at most Lemma 4's l.
+  std::optional<st12::RangeSketches> st12_range;
+  std::optional<lemma4::RangeSelection> lemma4_range;
+  if (use_lemma4_) {
+    lemma4_range.emplace(lemma4_->Decompose(x1, x2));
+  } else {
+    st12_range.emplace(st12_->Decompose(x1, x2));
+  }
   std::uint64_t ask = std::max<std::uint64_t>(1, k / 4);
   for (std::uint32_t attempt = 0; attempt < 8; ++attempt) {
-    StatusOr<double> thr =
-        use_lemma4_ && ask <= lemma4_->l()
-            ? lemma4_->SelectApprox(x1, x2, ask)
-            : !use_lemma4_
-                  ? st12_->SelectApprox(x1, x2, ask)
-                  : StatusOr<double>(Status::OutOfRange("beyond l"));
+    StatusOr<double> thr = use_lemma4_ ? lemma4_range->Select(ask)
+                                       : st12_range->Select(ask);
     double y;
     if (!thr.ok()) {
       if (thr.status().code() == StatusCode::kOutOfRange) {
-        // k exceeds the range population (or the selector's l): everything
-        // in range qualifies.
+        // k exceeds the range population: everything in range qualifies.
         y = -kInf;
       } else {
         return thr.status();
@@ -223,7 +230,7 @@ StatusOr<std::vector<Point>> TopkIndex::TopK(double x1, double x2,
       return cand;
     }
     ask *= 2;
-    if (ask >= PilotCutoff()) {
+    if (ask >= cutoff) {
       if (stats != nullptr) stats->path = QueryPath::kPilotDirect;
       return pilot_->TopK(x1, x2, k);
     }

@@ -18,9 +18,11 @@
 //   then 3-sided reporting above the threshold + an O(k'/B) selection.
 //
 // TopkIndex maintains all components under one update path and exposes the
-// dispatch for experiment E9. A retry loop doubles the threshold rank if the
+// dispatch for experiment E9. A threshold query decomposes [x1, x2] once with
+// its selector; a retry loop then doubles the threshold rank if the
 // approximate selection under-delivers (robustness net for the documented
-// constant-factor relaxations).
+// constant-factor relaxations), re-selecting on the held decomposition
+// rather than walking the selector again.
 
 #ifndef TOKRA_CORE_TOPK_INDEX_H_
 #define TOKRA_CORE_TOPK_INDEX_H_

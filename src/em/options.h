@@ -75,7 +75,7 @@ struct EmOptions {
   Backend backend = Backend::kMem;
 
   /// Backing file for Backend::kFile (required for that backend).
-  std::string path;
+  std::string path = {};
 
   /// File backend: make Sync() an fsync, so checkpoints survive power loss
   /// rather than just process exit. Costly; off by default.

@@ -452,7 +452,14 @@ Status Lemma4Selector::Delete(const Point& p) {
 // --- queries --------------------------------------------------------
 
 std::uint64_t Lemma4Selector::CountInRange(double x1, double x2) const {
-  std::uint64_t total = 0;
+  return Decompose(x1, x2).count();
+}
+
+RangeSelection Lemma4Selector::Decompose(double x1, double x2) const {
+  // Canonical decomposition: multi-slabs (contiguous covered child runs) at
+  // visited internal nodes + boundary leaves.
+  RangeSelection range;
+  range.l_ = MetaGet(kML);
   std::vector<em::BlockId> stack{MetaGet(kMRoot)};
   std::vector<ChildRec> kids;  // hoisted: one allocation per query, not node
   while (!stack.empty()) {
@@ -460,9 +467,11 @@ std::uint64_t Lemma4Selector::CountInRange(double x1, double x2) const {
     stack.pop_back();
     NodeInfo n = ReadNode(pager_, id);
     if (n.leaf) {
-      st12::ShengTaoSelector sel =
-          st12::ShengTaoSelector::Open(pager_, n.st12_meta);
-      total += sel.CountInRange(x1, x2);
+      st12::RangeSketches leaf =
+          st12::ShengTaoSelector::Open(pager_, n.st12_meta)
+              .Decompose(x1, x2);
+      range.count_ += leaf.count();
+      if (leaf.count() > 0) range.leaves_.push_back(std::move(leaf));
       continue;
     }
     // One ReadRange scan over exactly the first n.f records: each backing
@@ -470,52 +479,6 @@ std::uint64_t Lemma4Selector::CountInRange(double x1, double x2) const {
     // the mapping itself on a borrowed frame), where a per-record Get
     // would re-pin its block per child. (crb is sized for 2f capacity —
     // the tail blocks are never touched and must not be charged.)
-    em::PagedArray<ChildRec> crarr(pager_, n.crb);
-    crarr.ReadRange(0, n.f, &kids);
-    for (const ChildRec& cr : kids) {
-      if (cr.hi() <= x1 || cr.lo() > x2) continue;
-      if (cr.lo() >= x1 && cr.hi() <= x2) {
-        total += cr.count;
-      } else {
-        stack.push_back(cr.id);
-      }
-    }
-  }
-  return total;
-}
-
-StatusOr<double> Lemma4Selector::SelectApprox(double x1, double x2,
-                                              std::uint64_t k) const {
-  if (x1 > x2 || k < 1) return Status::InvalidArgument("bad query");
-  if (k > MetaGet(kML)) {
-    return Status::InvalidArgument("k exceeds the structure's l parameter");
-  }
-
-  // Canonical decomposition: multi-slabs (contiguous covered child runs) at
-  // visited internal nodes + boundary leaves.
-  std::vector<std::unique_ptr<MultiSlabSet>> slabs;
-  std::vector<std::unique_ptr<flgroup::FlGroup>> groups;
-  std::vector<double> leaf_candidates;
-  std::uint64_t boundary_total = 0;
-
-  std::vector<em::BlockId> stack{MetaGet(kMRoot)};
-  std::vector<ChildRec> kids;  // hoisted: one allocation per query, not node
-  while (!stack.empty()) {
-    em::BlockId id = stack.back();
-    stack.pop_back();
-    NodeInfo n = ReadNode(pager_, id);
-    if (n.leaf) {
-      st12::ShengTaoSelector sel =
-          st12::ShengTaoSelector::Open(pager_, n.st12_meta);
-      std::uint64_t cnt = sel.CountInRange(x1, x2);
-      boundary_total += cnt;
-      if (cnt == 0) continue;
-      auto res = sel.SelectApprox(x1, x2, std::min<std::uint64_t>(k, cnt));
-      if (res.ok() && *res != -kInf) leaf_candidates.push_back(*res);
-      continue;
-    }
-    // As in CountInRange: one ReadRange scan over exactly the n.f live
-    // records, each backing block pinned once.
     em::PagedArray<ChildRec> crarr(pager_, n.crb);
     crarr.ReadRange(0, n.f, &kids);
     auto flg = std::make_unique<flgroup::FlGroup>(
@@ -529,6 +492,7 @@ StatusOr<double> Lemma4Selector::SelectApprox(double x1, double x2,
           covered = false;
         } else if (cr.lo() >= x1 && cr.hi() <= x2) {
           covered = true;
+          range.count_ += cr.count;
         } else {
           stack.push_back(cr.id);
         }
@@ -536,26 +500,37 @@ StatusOr<double> Lemma4Selector::SelectApprox(double x1, double x2,
       if (covered && run_start == n.f) run_start = c;
       if (!covered && run_start < n.f) {
         auto ms = std::make_unique<MultiSlabSet>(flg.get(), run_start, c - 1);
-        if (ms->Size() > 0) slabs.push_back(std::move(ms));
+        if (ms->Size() > 0) {
+          range.slab_total_ += ms->Size();
+          range.slabs_.push_back(std::move(ms));
+        }
         run_start = n.f;
       }
     }
-    groups.push_back(std::move(flg));
+    range.groups_.push_back(std::move(flg));
   }
+  return range;
+}
 
-  std::uint64_t slab_total = 0;
-  std::vector<aurs::RankedSet*> sets;
-  for (auto& s : slabs) {
-    slab_total += s->Size();
-    sets.push_back(s.get());
+StatusOr<double> RangeSelection::Select(std::uint64_t k) const {
+  if (k < 1) return Status::InvalidArgument("bad query");
+  if (k > l_) {
+    return Status::InvalidArgument("k exceeds the structure's l parameter");
   }
-  if (k > slab_total + boundary_total) {
+  std::uint64_t boundary_total = 0;
+  for (const st12::RangeSketches& leaf : leaves_) {
+    boundary_total += leaf.count();
+  }
+  if (k > slab_total_ + boundary_total) {
     return Status::OutOfRange("k exceeds range population");
   }
 
   double best = -kInf;
   bool have = false;
-  if (!sets.empty() && slab_total >= k) {
+  if (!slabs_.empty() && slab_total_ >= k) {
+    std::vector<aurs::RankedSet*> sets;
+    sets.reserve(slabs_.size());
+    for (const auto& ms : slabs_) sets.push_back(ms.get());
     aurs::AursStats stats;
     auto res = aurs::UnionRankSelect(sets, k, &stats, /*strict=*/false);
     if (res.ok() && *res != -kInf) {
@@ -563,12 +538,25 @@ StatusOr<double> Lemma4Selector::SelectApprox(double x1, double x2,
       have = true;
     }
   }
-  for (double v : leaf_candidates) {
-    best = std::max(best, v);
-    have = true;
+  // A leaf's candidate has rank >= k in the union only if the leaf itself
+  // holds k in-range points. A smaller leaf offers none: all of its points
+  // qualify, as -inf would say.
+  for (const st12::RangeSketches& leaf : leaves_) {
+    if (leaf.count() < k) continue;
+    auto res = leaf.Select(k);
+    if (res.ok() && *res != -kInf) {
+      best = std::max(best, *res);
+      have = true;
+    }
   }
   if (!have) return -kInf;  // rank(-inf) = |range| < O(k): legal answer
   return best;
+}
+
+StatusOr<double> Lemma4Selector::SelectApprox(double x1, double x2,
+                                              std::uint64_t k) const {
+  if (x1 > x2) return Status::InvalidArgument("bad query");
+  return Decompose(x1, x2).Select(k);
 }
 
 // --- validation ------------------------------------------------------

@@ -13,12 +13,18 @@
 // A query decomposes [x1, x2] into O(lg_f n) covered multi-slabs plus at
 // most two boundary leaves, runs AURS over the multi-slab sets, selects in
 // the boundary leaves with their ST12 structures, and returns the maximum of
-// the candidates — exactly the Section 3.3 algorithm.
+// the candidates — exactly the Section 3.3 algorithm. Decompose does the
+// tree walk once and holds its result (RangeSelection), so a retry at a
+// larger rank re-runs only AURS and the leaf selections.
 //
 // Documented deviations (constants / robustness, see DESIGN.md):
 //  * AURS runs in non-strict mode with rho clamped per set, because multi-
 //    slab set sizes are data-dependent; small sets weaken the constant, and
-//    the TopkIndex reduction carries a retry loop as a safety net.
+//    the TopkIndex reduction carries a retry loop as a safety net. A retry
+//    re-selects on the held RangeSelection; it does not re-walk the tree.
+//  * A boundary leaf with fewer than k points in [x1, x2] offers no
+//    candidate: its own selection could rank below k in the union, so all
+//    of its points simply qualify.
 //  * G_u is not refilled on deletion (it decays until the next rebuild);
 //    periodic global rebuilding bounds the decay, standing in for the
 //    paper's unspecified "analogous" deletion maintenance and node-split
@@ -28,8 +34,10 @@
 #define TOKRA_LEMMA4_STRUCTURE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "aurs/ranked_set.h"
 #include "em/pager.h"
 #include "flgroup/fl_group.h"
 #include "st12/selector.h"
@@ -37,6 +45,32 @@
 #include "util/status.h"
 
 namespace tokra::lemma4 {
+
+/// One range's canonical decomposition: the FlGroups of the visited nodes,
+/// the multi-slab sets over them and each boundary leaf's ST12
+/// decomposition. Select re-runs AURS (FlGroup reads) and the leaf
+/// selections (CPU) without re-walking the tree. Valid until the selector's
+/// next update, since the FlGroups read the pager.
+class RangeSelection {
+ public:
+  /// |S ∩ [x1,x2]|, exact.
+  std::uint64_t count() const { return count_; }
+
+  /// A score whose rank among the scores of S ∩ [x1,x2] falls in
+  /// [k, Lemma4Selector::kApproxFactor*k), or -inf (whole range
+  /// qualifies). kInvalidArgument unless 1 <= k <= l; kOutOfRange when k
+  /// exceeds what the multi-slab sets and boundary leaves hold.
+  StatusOr<double> Select(std::uint64_t k) const;
+
+ private:
+  friend class Lemma4Selector;
+  std::uint64_t l_ = 0;
+  std::uint64_t count_ = 0;
+  std::uint64_t slab_total_ = 0;  ///< sum of the multi-slab set sizes
+  std::vector<std::unique_ptr<flgroup::FlGroup>> groups_;
+  std::vector<std::unique_ptr<aurs::RankedSet>> slabs_;
+  std::vector<st12::RangeSketches> leaves_;  ///< non-empty boundary leaves
+};
 
 class Lemma4Selector {
  public:
@@ -64,12 +98,15 @@ class Lemma4Selector {
   Status Insert(const Point& p);
   Status Delete(const Point& p);
 
-  /// |S ∩ [x1,x2]|, exact. O(lg_B n) I/Os.
+  /// |S ∩ [x1,x2]|, exact: Decompose(x1, x2).count(). O(lg_B n) I/Os.
   std::uint64_t CountInRange(double x1, double x2) const;
 
-  /// A score whose rank among the scores of S ∩ [x1,x2] falls in
-  /// [k, kApproxFactor*k), or -inf (whole range qualifies). Requires
-  /// 1 <= k <= min(l, CountInRange). O(lg_B n) I/Os.
+  /// The canonical decomposition of [x1,x2] (empty if x1 > x2).
+  /// O(lg_B n) I/Os.
+  RangeSelection Decompose(double x1, double x2) const;
+
+  /// Decompose(x1, x2).Select(k). Requires 1 <= k <= min(l, CountInRange).
+  /// O(lg_B n) I/Os.
   StatusOr<double> SelectApprox(double x1, double x2, std::uint64_t k) const;
 
   void DestroyAll();

@@ -3,7 +3,7 @@
 namespace tokra::obs {
 
 std::string SlowQueryEntry::ToString() const {
-  std::string out = "#" + std::to_string(seq) + " t+" +
+  std::string out = std::string("#") + std::to_string(seq) + " t+" +
                     std::to_string(start_us) + "us total=" +
                     std::to_string(total_us) + "us range=[" +
                     std::to_string(x1) + "," + std::to_string(x2) +
@@ -14,7 +14,9 @@ std::string SlowQueryEntry::ToString() const {
     for (const Stage& s : stages) {
       out += " ";
       out += s.name;
-      out += "=" + std::to_string(s.us) + "us";
+      out += "=";
+      out += std::to_string(s.us);
+      out += "us";
     }
   }
   for (const ShardWork& w : shards) {

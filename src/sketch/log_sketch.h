@@ -8,7 +8,9 @@
 #ifndef TOKRA_SKETCH_LOG_SKETCH_H_
 #define TOKRA_SKETCH_LOG_SKETCH_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -29,19 +31,27 @@ class LogSketch {
  public:
   LogSketch() = default;
 
-  /// Builds from the set's values sorted descending. Each pivot j is chosen
-  /// at rank min(l, floor(3/2 * 2^(j-1))) — the mid-window choice the paper
-  /// uses when repairing pivots, giving maximal drift slack on both sides.
-  static LogSketch Build(std::span<const double> sorted_desc) {
+  /// Builds from the set's values in any order. Each pivot j is the value of
+  /// descending rank min(l, floor(3/2 * 2^(j-1))) — the mid-window choice
+  /// the paper uses when repairing pivots, giving maximal drift slack on
+  /// both sides. The pivots are placed top-down, each by nth_element on the
+  /// prefix above the previous one: O(l) expected, and the same values a
+  /// full sort would pick.
+  static LogSketch Build(std::vector<double> vals) {
     LogSketch s;
-    s.set_size_ = sorted_desc.size();
+    s.set_size_ = vals.size();
     if (s.set_size_ == 0) return s;
     std::uint32_t levels = FloorLog2(s.set_size_) + 1;
-    for (std::uint32_t j = 1; j <= levels; ++j) {
+    s.pivots_.resize(levels);
+    auto end = vals.end();
+    for (std::uint32_t j = levels; j >= 1; --j) {
       std::uint64_t lo = std::uint64_t{1} << (j - 1);
       std::uint64_t r = std::min<std::uint64_t>(s.set_size_, lo + lo / 2);
       TOKRA_DCHECK(r >= lo);
-      s.pivots_.push_back(SketchPivot{sorted_desc[r - 1], r});
+      auto nth = vals.begin() + static_cast<std::ptrdiff_t>(r - 1);
+      std::nth_element(vals.begin(), nth, end, std::greater<>());
+      s.pivots_[j - 1] = SketchPivot{*nth, r};
+      end = nth;
     }
     return s;
   }

@@ -162,8 +162,6 @@ em::BlockId ShengTaoSelector::BuildNode(const std::vector<Point>& by_x,
     crs[c].counter = 0;
     crs[c].sk_len = JOf(take);
     for (const Point& p : chunk) child_scores[c].push_back(p.score);
-    std::sort(child_scores[c].begin(), child_scores[c].end(),
-              std::greater<>());
     pos += take;
   }
 
@@ -196,7 +194,8 @@ em::BlockId ShengTaoSelector::BuildNode(const std::vector<Point>& by_x,
   crarr.WriteRange(0, crs);
   em::PagedArray<double> skarr(pager_, skb);
   for (std::size_t c = 0; c < nf; ++c) {
-    sketch::LogSketch s = sketch::LogSketch::Build(child_scores[c]);
+    sketch::LogSketch s =
+        sketch::LogSketch::Build(std::move(child_scores[c]));
     for (std::uint32_t j = 1; j <= s.levels(); ++j) {
       skarr.Set(static_cast<std::uint32_t>(c) * kJCap + (j - 1),
                 s.pivot(j).value);
@@ -457,37 +456,41 @@ Status ShengTaoSelector::Delete(const Point& p) {
 
 // --- queries --------------------------------------------------------
 
-void ShengTaoSelector::GatherSketches(
-    em::BlockId id, double x1, double x2,
-    std::vector<sketch::LogSketch>* sketches,
-    std::vector<Point>* boundary) const {
+void ShengTaoSelector::GatherSketches(em::BlockId id, double x1, double x2,
+                                      RangeSketches* range,
+                                      std::vector<double>* boundary) const {
   NodeBlocks nb = ReadNode(pager_, id);
   if (nb.leaf) {
     em::PagedArray<Point> arr(pager_, nb.a);
     std::vector<Point> pts;
     arr.ReadRange(0, nb.fill, &pts);
     for (const Point& p : pts) {
-      if (p.x >= x1 && p.x <= x2) boundary->push_back(p);
+      if (p.x >= x1 && p.x <= x2) boundary->push_back(p.score);
     }
     return;
   }
+  // One ReadRange per node for its child records and one per covered child
+  // for its pivots: each backing block is pinned once, not once per record.
   em::PagedArray<ChildRec> crarr(pager_, nb.a);
   em::PagedArray<double> skarr(pager_, nb.b);
+  std::vector<ChildRec> kids;
+  crarr.ReadRange(0, nb.fill, &kids);
   for (std::uint32_t c = 0; c < nb.fill; ++c) {
-    ChildRec cr = crarr.Get(c);
+    const ChildRec& cr = kids[c];
     if (cr.hi() <= x1 || cr.lo() > x2) continue;  // disjoint
     if (cr.lo() >= x1 && cr.hi() <= x2) {
       // Covered: contribute the child's sketch.
       if (cr.count == 0) continue;
       std::vector<double> pivots;
-      for (std::uint32_t j = 1; j <= cr.sk_len; ++j) {
-        pivots.push_back(skarr.Get(c * kJCap + (j - 1)));
-      }
-      sketches->push_back(
+      skarr.ReadRange(c * kJCap,
+                      c * kJCap + static_cast<std::uint32_t>(cr.sk_len),
+                      &pivots);
+      range->sketches_.push_back(
           sketch::LogSketch::FromPivots(std::move(pivots), cr.count));
+      range->count_ += cr.count;
       continue;
     }
-    GatherSketches(cr.id, x1, x2, sketches, boundary);
+    GatherSketches(cr.id, x1, x2, range, boundary);
   }
 }
 
@@ -516,63 +519,35 @@ void ShengTaoSelector::CollectAll(std::vector<Point>* out) const {
   CollectPoints(MetaGet(kMRoot), out);
 }
 
-std::uint64_t ShengTaoSelector::CountInRange(double x1, double x2) const {
-  std::uint64_t total = 0;
-  std::vector<em::BlockId> stack{MetaGet(kMRoot)};
-  while (!stack.empty()) {
-    em::BlockId id = stack.back();
-    stack.pop_back();
-    NodeBlocks nb = ReadNode(pager_, id);
-    if (nb.leaf) {
-      em::PagedArray<Point> arr(pager_, nb.a);
-      std::vector<Point> pts;
-      arr.ReadRange(0, nb.fill, &pts);
-      for (const Point& p : pts) {
-        if (p.x >= x1 && p.x <= x2) ++total;
-      }
-      continue;
-    }
-    em::PagedArray<ChildRec> crarr(pager_, nb.a);
-    for (std::uint32_t c = 0; c < nb.fill; ++c) {
-      ChildRec cr = crarr.Get(c);
-      if (cr.hi() <= x1 || cr.lo() > x2) continue;
-      if (cr.lo() >= x1 && cr.hi() <= x2) {
-        total += cr.count;
-      } else {
-        stack.push_back(cr.id);
-      }
-    }
+RangeSketches ShengTaoSelector::Decompose(double x1, double x2) const {
+  RangeSketches range;
+  std::vector<double> boundary;
+  GatherSketches(MetaGet(kMRoot), x1, x2, &range, &boundary);
+  if (!boundary.empty()) {
+    range.count_ += boundary.size();
+    range.sketches_.push_back(sketch::LogSketch::Build(std::move(boundary)));
   }
-  return total;
+  return range;
+}
+
+StatusOr<double> RangeSketches::Select(std::uint64_t k) const {
+  if (k < 1) return Status::InvalidArgument("bad query");
+  if (k > count_) return Status::OutOfRange("k exceeds range population");
+  std::vector<const sketch::LogSketch*> ptrs;
+  ptrs.reserve(sketches_.size());
+  for (const auto& s : sketches_) ptrs.push_back(&s);
+  // Internal doubling absorbs sketch drift (see header notes); the end-to-end
+  // guarantee is rank in [k, kApproxFactor * k).
+  sketch::Select7Result res =
+      sketch::SelectFromSketches(ptrs, std::min<std::uint64_t>(2 * k, count_));
+  if (res.neg_inf) return -kInf;
+  return res.value;
 }
 
 StatusOr<double> ShengTaoSelector::SelectApprox(double x1, double x2,
                                                 std::uint64_t k) const {
-  if (x1 > x2 || k < 1) return Status::InvalidArgument("bad query");
-  std::vector<sketch::LogSketch> sketches;
-  std::vector<Point> boundary;
-  GatherSketches(MetaGet(kMRoot), x1, x2, &sketches, &boundary);
-  if (!boundary.empty()) {
-    std::vector<double> scores;
-    scores.reserve(boundary.size());
-    for (const Point& p : boundary) scores.push_back(p.score);
-    std::sort(scores.begin(), scores.end(), std::greater<>());
-    sketches.push_back(sketch::LogSketch::Build(scores));
-  }
-  std::vector<const sketch::LogSketch*> ptrs;
-  ptrs.reserve(sketches.size());
-  std::uint64_t total = 0;
-  for (const auto& s : sketches) {
-    total += s.set_size();
-    ptrs.push_back(&s);
-  }
-  if (k > total) return Status::OutOfRange("k exceeds range population");
-  // Internal doubling absorbs sketch drift (see header notes); the end-to-end
-  // guarantee is rank in [k, kApproxFactor * k).
-  sketch::Select7Result res =
-      sketch::SelectFromSketches(ptrs, std::min<std::uint64_t>(2 * k, total));
-  if (res.neg_inf) return -kInf;
-  return res.value;
+  if (x1 > x2) return Status::InvalidArgument("bad query");
+  return Decompose(x1, x2).Select(k);
 }
 
 // --- validation ------------------------------------------------------

@@ -12,7 +12,9 @@
 // internal node stores, per child, a logarithmic sketch of the scores in the
 // child's subtree (the [14] machinery this paper restates in Section 4.1).
 // A query decomposes [x1,x2] into O(lg_B n) canonical children plus two
-// boundary leaves and runs the Lemma 7 selection over their sketches.
+// boundary leaves (Decompose: the I/O walk) and runs the Lemma 7 selection
+// over their sketches (RangeSketches::Select: CPU only, so a caller that
+// retries with a larger rank pays the walk once).
 //
 // Updates descend the path and repair drifted sketch pivots; pivot (j) of a
 // child is recomputed after Theta(2^j) updates below that child, each repair
@@ -39,6 +41,26 @@
 
 namespace tokra::st12 {
 
+/// One range's canonical decomposition, held in memory: the sketch of every
+/// covered child plus one sketch of the boundary leaves' in-range scores.
+/// Every Select runs on it without touching the pager.
+class RangeSketches {
+ public:
+  /// |S ∩ [x1,x2]|, exact.
+  std::uint64_t count() const { return count_; }
+
+  /// A score value whose descending rank among the scores in S ∩ [x1,x2]
+  /// lies in [k, ShengTaoSelector::kApproxFactor * k), or -inf when the
+  /// whole range qualifies (rank(-inf) = count < 2k). kOutOfRange when
+  /// k > count. CPU only.
+  StatusOr<double> Select(std::uint64_t k) const;
+
+ private:
+  friend class ShengTaoSelector;
+  std::vector<sketch::LogSketch> sketches_;
+  std::uint64_t count_ = 0;
+};
+
 class ShengTaoSelector {
  public:
   struct Params {
@@ -63,18 +85,17 @@ class ShengTaoSelector {
   Status Insert(const Point& p);
   Status Delete(const Point& p);
 
-  /// |S ∩ [x1,x2]|, exact. O(lg_B n) I/Os.
-  std::uint64_t CountInRange(double x1, double x2) const;
-
   /// True iff p is stored. O(lg_B n) I/Os.
   bool Contains(const Point& p) const;
 
   /// Appends every stored point. O(n/B) I/Os.
   void CollectAll(std::vector<Point>* out) const;
 
-  /// A score value whose descending rank among the scores in S ∩ [x1,x2]
-  /// lies in [k, kApproxFactor * k), or -inf when the whole range qualifies
-  /// (rank(-inf) = range count < 2k). Requires 1 <= k <= CountInRange.
+  /// The canonical decomposition of [x1,x2] (empty if x1 > x2).
+  /// O(lg_B n) I/Os.
+  RangeSketches Decompose(double x1, double x2) const;
+
+  /// Decompose(x1, x2).Select(k). Requires 1 <= k <= |S ∩ [x1,x2]|.
   /// O(lg_B n) I/Os.
   StatusOr<double> SelectApprox(double x1, double x2, std::uint64_t k) const;
 
@@ -94,8 +115,8 @@ class ShengTaoSelector {
   void FreeNode(em::BlockId id);
   void CollectPoints(em::BlockId id, std::vector<Point>* out) const;
   void GatherSketches(em::BlockId id, double x1, double x2,
-                      std::vector<sketch::LogSketch>* sketches,
-                      std::vector<Point>* boundary) const;
+                      RangeSketches* range,
+                      std::vector<double>* boundary) const;
   /// Recomputes pivot levels [1, upto] of child `ci` of node `id`.
   void RepairChildSketch(em::BlockId id, std::uint32_t ci, std::uint32_t upto);
   void CheckNode(em::BlockId id, double lo, double hi,

@@ -26,8 +26,7 @@ namespace tokra {
 /// Fsyncs the directory containing `file_path`.
 [[nodiscard]] inline bool FsyncDirContaining(const std::string& file_path) {
   std::string dir = std::filesystem::path(file_path).parent_path().string();
-  if (dir.empty()) dir = ".";
-  return FsyncDir(dir);
+  return FsyncDir(dir.empty() ? std::string(".") : dir);
 }
 
 }  // namespace tokra

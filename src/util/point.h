@@ -18,7 +18,8 @@ struct Point {
   bool operator==(const Point& o) const { return x == o.x && score == o.score; }
 
   std::string ToString() const {
-    return "(" + std::to_string(x) + ", " + std::to_string(score) + ")";
+    return std::string("(") + std::to_string(x) + ", " +
+           std::to_string(score) + ")";
   }
 };
 

@@ -117,7 +117,7 @@ TEST(AdversarialTest, St12ClusteredInsertsForceRebuilds) {
   }
   st.CheckInvariants();
   EXPECT_EQ(st.size(), 3000u);
-  EXPECT_EQ(st.CountInRange(10.0, 10.001), 3000u);
+  EXPECT_EQ(st.Decompose(10.0, 10.001).count(), 3000u);
   auto res = st.SelectApprox(9.0, 11.0, 10);
   ASSERT_TRUE(res.ok());
   std::uint64_t rank = internal::NaiveScoreRankInRange(live, 9, 11, *res);

@@ -219,9 +219,12 @@ INSTANTIATE_TEST_SUITE_P(
                       FlCase{5, 333, 128, 900, 5},
                       FlCase{32, 64, 1024, 1500, 6}),
     [](const ::testing::TestParamInfo<FlCase>& info) {
-      return "f" + std::to_string(info.param.f) + "l" +
-             std::to_string(info.param.l) + "B" +
-             std::to_string(info.param.block_words);
+      return std::string("f")
+          .append(std::to_string(info.param.f))
+          .append("l")
+          .append(std::to_string(info.param.l))
+          .append("B")
+          .append(std::to_string(info.param.block_words));
     });
 
 TEST(FlGroupTest, UpdateAndQueryCostLogarithmic) {

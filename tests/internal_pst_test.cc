@@ -118,7 +118,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, TreapPstPropertyTest,
                                            PstCase{1000, 3}, PstCase{5000, 4},
                                            PstCase{20000, 5}),
                          [](const ::testing::TestParamInfo<PstCase>& info) {
-                           return "n" + std::to_string(info.param.n);
+                           return std::string("n")
+                               .append(std::to_string(info.param.n));
                          });
 
 TEST(TreapPstTest, KLargerThanRange) {

@@ -54,6 +54,30 @@ TEST(Lemma4Test, DestroyReleasesBlocks) {
   EXPECT_EQ(pager.BlocksInUse(), base);
 }
 
+// One decomposition per random range, several ranks (up to l) selected on
+// it: each answer must meet the SelectApprox bound for its own rank.
+void ExpectMultiRankSelect(const Lemma4Selector& s,
+                           const std::vector<Point>& live, Rng* rng) {
+  for (int probe = 0; probe < 30; ++probe) {
+    double a = rng->UniformDouble(-10, 1010), b = rng->UniformDouble(-10, 1010);
+    double x1 = std::min(a, b), x2 = std::max(a, b);
+    std::uint64_t total = internal::NaiveRangeCount(live, x1, x2);
+    RangeSelection range = s.Decompose(x1, x2);
+    ASSERT_EQ(range.count(), total);
+    std::uint64_t top = std::min<std::uint64_t>(total, s.l());
+    if (top == 0) continue;
+    for (std::uint64_t r : {std::uint64_t{1}, 1 + rng->Uniform(top),
+                            (top + 1) / 2, top}) {
+      auto res = range.Select(r);
+      ASSERT_TRUE(res.ok()) << res.status().ToString();
+      std::uint64_t rank =
+          internal::NaiveScoreRankInRange(live, x1, x2, *res);
+      EXPECT_GE(rank, r);
+      EXPECT_LT(rank, Lemma4Selector::kApproxFactor * r);
+    }
+  }
+}
+
 struct L4Case {
   std::size_t n;
   int updates;
@@ -109,6 +133,17 @@ TEST_P(Lemma4PropertyTest, ApproximationAgainstOracle) {
     EXPECT_GE(rank, k);
     EXPECT_LT(rank, Lemma4Selector::kApproxFactor * k);
   }
+  ExpectMultiRankSelect(s, live, &rng);
+
+  // A batch of deletions (a third of the live points): G_u sets decay until
+  // the next rebuild, and selection must still hold.
+  for (std::size_t d = live.size() / 3; d > 0; --d) {
+    std::size_t pick = rng.Uniform(live.size());
+    ASSERT_TRUE(s.Delete(live[pick]).ok());
+    live.erase(live.begin() + pick);
+  }
+  s.CheckInvariants();
+  ExpectMultiRankSelect(s, live, &rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Lemma4PropertyTest,
@@ -117,8 +152,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, Lemma4PropertyTest,
                                            L4Case{10000, 600, 3},
                                            L4Case{1000, 1500, 4}),
                          [](const ::testing::TestParamInfo<L4Case>& info) {
-                           return "n" + std::to_string(info.param.n) + "u" +
-                                  std::to_string(info.param.updates);
+                           return std::string("n")
+                               .append(std::to_string(info.param.n))
+                               .append("u")
+                               .append(std::to_string(info.param.updates));
                          });
 
 }  // namespace

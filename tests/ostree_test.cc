@@ -152,8 +152,10 @@ INSTANTIATE_TEST_SUITE_P(
                       OsTreeParam{64, 2000}, OsTreeParam{128, 2000},
                       OsTreeParam{256, 5000}, OsTreeParam{1024, 5000}),
     [](const ::testing::TestParamInfo<OsTreeParam>& info) {
-      return "B" + std::to_string(info.param.block_words) + "n" +
-             std::to_string(info.param.n);
+      return std::string("B")
+          .append(std::to_string(info.param.block_words))
+          .append("n")
+          .append(std::to_string(info.param.n));
     });
 
 TEST(OsTreeTest, ScanRangeMatchesOracle) {

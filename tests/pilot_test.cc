@@ -165,8 +165,10 @@ INSTANTIATE_TEST_SUITE_P(
                       PilotCase{128, 3000, 800, 5},
                       PilotCase{256, 8000, 600, 6}),
     [](const ::testing::TestParamInfo<PilotCase>& info) {
-      return "B" + std::to_string(info.param.block_words) + "n" +
-             std::to_string(info.param.n);
+      return std::string("B")
+          .append(std::to_string(info.param.block_words))
+          .append("n")
+          .append(std::to_string(info.param.n));
     });
 
 TEST(PilotPstTest, LargeKReturnsWholeRange) {

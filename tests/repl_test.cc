@@ -320,7 +320,7 @@ TEST(ReplTest, ReadScalingAcrossFollowers) {
   std::vector<std::unique_ptr<Follower>> followers;
   for (int i = 0; i < 3; ++i) {
     auto f = Follower::Start(FollowerOptions(
-        (*primary)->port(), dir.Sub("f" + std::to_string(i))));
+        (*primary)->port(), dir.Sub(std::string("f") + std::to_string(i))));
     ASSERT_TRUE(f.ok());
     followers.push_back(std::move(*f));
   }
@@ -571,7 +571,8 @@ TEST(ReplTortureTest, PrimarySigkillMidStreamFailoverAndCatchup) {
   std::vector<std::unique_ptr<Follower>> followers;
   for (int i = 0; i < 2; ++i) {
     auto f = Follower::Start(FollowerOptions(
-        static_cast<std::uint16_t>(port), dir.Sub("f" + std::to_string(i))));
+        static_cast<std::uint16_t>(port),
+        dir.Sub(std::string("f") + std::to_string(i))));
     ASSERT_TRUE(f.ok());
     followers.push_back(std::move(*f));
   }

@@ -122,9 +122,12 @@ INSTANTIATE_TEST_SUITE_P(
                       SelectCase{5000, 1, 8, 100, Strategy::kBestFirst},
                       SelectCase{64, 64, 2, 64, Strategy::kBestFirst}),
     [](const ::testing::TestParamInfo<SelectCase>& info) {
-      return "n" + std::to_string(info.param.n) + "t" +
-             std::to_string(info.param.t) +
-             (info.param.strategy == Strategy::kBestFirst ? "best" : "naive");
+      return std::string("n")
+          .append(std::to_string(info.param.n))
+          .append("t")
+          .append(std::to_string(info.param.t))
+          .append(info.param.strategy == Strategy::kBestFirst ? "best"
+                                                              : "naive");
     });
 
 TEST(SelectTest, BestFirstVisitsFarFewerNodesThanNaive) {

@@ -31,11 +31,23 @@ TEST(LogSketchTest, EmptySet) {
 
 TEST(LogSketchTest, LevelsCount) {
   Rng rng(1);
-  for (std::size_t n : {1, 2, 3, 4, 7, 8, 9, 100, 1023, 1024, 1025}) {
-    auto vals = SortedDesc(rng.DistinctDoubles(n, 0, 1));
+  const std::vector<double> pool = rng.DistinctDoubles(5000, 0, 1);
+  for (std::size_t n = 1; n <= pool.size(); ++n) {
+    auto vals = SortedDesc({pool.begin(), pool.begin() + n});
     LogSketch s = LogSketch::Build(vals);
-    EXPECT_EQ(s.levels(), FloorLog2(n) + 1) << n;
+    ASSERT_EQ(s.levels(), FloorLog2(n) + 1) << n;
     s.CheckAgainst(vals);
+    // Build accepts any order and picks the same pivots as from sorted input.
+    std::vector<double> shuffled = vals;
+    rng.Shuffle(&shuffled);
+    LogSketch u = LogSketch::Build(shuffled);
+    ASSERT_EQ(u.levels(), s.levels()) << n;
+    for (std::uint32_t j = 1; j <= s.levels(); ++j) {
+      ASSERT_EQ(s.pivot(j).value, vals[s.pivot(j).rank_hint - 1]) << n;
+      ASSERT_EQ(u.pivot(j).value, s.pivot(j).value) << n << " level " << j;
+      ASSERT_EQ(u.pivot(j).rank_hint, s.pivot(j).rank_hint) << n;
+    }
+    u.CheckAgainst(vals);
   }
 }
 
@@ -110,8 +122,10 @@ INSTANTIATE_TEST_SUITE_P(
                       Lemma7Case{8, 200, 13}, Lemma7Case{32, 40, 14},
                       Lemma7Case{64, 400, 15}, Lemma7Case{128, 10, 16}),
     [](const ::testing::TestParamInfo<Lemma7Case>& info) {
-      return "m" + std::to_string(info.param.m) + "s" +
-             std::to_string(info.param.avg_size);
+      return std::string("m")
+          .append(std::to_string(info.param.m))
+          .append("s")
+          .append(std::to_string(info.param.avg_size));
     });
 
 TEST(Select7Test, KBeyondUnionGoesNegInf) {
@@ -312,9 +326,12 @@ INSTANTIATE_TEST_SUITE_P(
                       PackedCase{16, 64, 800, 24},
                       PackedCase{3, 16, 500, 25}),
     [](const ::testing::TestParamInfo<PackedCase>& info) {
-      return "f" + std::to_string(info.param.f) + "l" +
-             std::to_string(info.param.l_cap) + "ops" +
-             std::to_string(info.param.ops);
+      return std::string("f")
+          .append(std::to_string(info.param.f))
+          .append("l")
+          .append(std::to_string(info.param.l_cap))
+          .append("ops")
+          .append(std::to_string(info.param.ops));
     });
 
 // ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ TEST(St12Test, EmptyAndErrors) {
   em::Pager pager(Opts());
   ShengTaoSelector s = ShengTaoSelector::Build(&pager, {});
   EXPECT_EQ(s.size(), 0u);
-  EXPECT_EQ(s.CountInRange(0, 1), 0u);
+  EXPECT_EQ(s.Decompose(0, 1).count(), 0u);
   EXPECT_FALSE(s.SelectApprox(0, 1, 1).ok());
   EXPECT_EQ(s.Delete({1, 1}).code(), StatusCode::kNotFound);
   s.CheckInvariants();
@@ -45,7 +45,33 @@ TEST(St12Test, CountInRangeExact) {
   for (int probe = 0; probe < 40; ++probe) {
     double a = rng.UniformDouble(-10, 1010), b = rng.UniformDouble(-10, 1010);
     double x1 = std::min(a, b), x2 = std::max(a, b);
-    EXPECT_EQ(s.CountInRange(x1, x2), internal::NaiveRangeCount(pts, x1, x2));
+    EXPECT_EQ(s.Decompose(x1, x2).count(),
+              internal::NaiveRangeCount(pts, x1, x2));
+  }
+}
+
+// One decomposition per random range, several ranks selected on it: each
+// answer must meet the SelectApprox bound for its own rank.
+void ExpectMultiRankSelect(const ShengTaoSelector& s,
+                           const std::vector<Point>& live, Rng* rng) {
+  for (int probe = 0; probe < 30; ++probe) {
+    double a = rng->UniformDouble(-10, 1010), b = rng->UniformDouble(-10, 1010);
+    double x1 = std::min(a, b), x2 = std::max(a, b);
+    std::uint64_t total = internal::NaiveRangeCount(live, x1, x2);
+    RangeSketches range = s.Decompose(x1, x2);
+    ASSERT_EQ(range.count(), total);
+    EXPECT_EQ(range.Select(total + 1).status().code(),
+              StatusCode::kOutOfRange);
+    if (total == 0) continue;
+    for (std::uint64_t r : {std::uint64_t{1}, 1 + rng->Uniform(total),
+                            (total + 1) / 2, total}) {
+      auto res = range.Select(r);
+      ASSERT_TRUE(res.ok()) << res.status().ToString();
+      std::uint64_t rank =
+          internal::NaiveScoreRankInRange(live, x1, x2, *res);
+      EXPECT_GE(rank, r);
+      EXPECT_LT(rank, ShengTaoSelector::kApproxFactor * r);
+    }
   }
 }
 
@@ -102,6 +128,16 @@ TEST_P(St12PropertyTest, ApproximationHolds) {
     EXPECT_GE(rank, k);
     EXPECT_LT(rank, ShengTaoSelector::kApproxFactor * k);
   }
+  ExpectMultiRankSelect(s, live, &rng);
+
+  // A batch of deletions (a third of the live points), then again.
+  for (std::size_t d = live.size() / 3; d > 0; --d) {
+    std::size_t pick = rng.Uniform(live.size());
+    ASSERT_TRUE(s.Delete(live[pick]).ok());
+    live.erase(live.begin() + pick);
+  }
+  s.CheckInvariants();
+  ExpectMultiRankSelect(s, live, &rng);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, St12PropertyTest,
@@ -110,8 +146,10 @@ INSTANTIATE_TEST_SUITE_P(Sweep, St12PropertyTest,
                                            StCase{8000, 800, 3},
                                            StCase{500, 2000, 4}),
                          [](const ::testing::TestParamInfo<StCase>& info) {
-                           return "n" + std::to_string(info.param.n) + "u" +
-                                  std::to_string(info.param.updates);
+                           return std::string("n")
+                               .append(std::to_string(info.param.n))
+                               .append("u")
+                               .append(std::to_string(info.param.updates));
                          });
 
 TEST(St12Test, DestroyReleasesBlocks) {

@@ -147,6 +147,34 @@ TEST(TopkIndexTest, DispatchPaths) {
   EXPECT_EQ(large_stats.path, QueryPath::kPilotDirect);
 }
 
+// Narrow threshold queries pin few blocks: the selector walks [x1, x2] once
+// per query, retries re-select on the held decomposition, and the walk pins
+// each block of child records and pivots once rather than once per record.
+TEST(TopkIndexTest, NarrowQueryPinsStayLow) {
+  em::Pager pager(Opts(256));
+  Rng rng(17);
+  auto pts = RandomPoints(&rng, 20000);
+  auto idx = TopkIndex::Build(&pager, pts);
+  ASSERT_TRUE(idx.ok());
+  constexpr int kQueries = 300;
+  std::uint64_t pins = 0;
+  for (int q = 0; q < kQueries; ++q) {
+    double x1 = rng.UniformDouble(0, 990);
+    double x2 = x1 + rng.UniformDouble(1, 10);
+    std::uint64_t k = 1 + rng.Uniform(64);
+    em::IoStats before = pager.stats();
+    auto got = (*idx)->TopK(x1, x2, k);
+    em::IoStats d = pager.stats() - before;
+    pins += d.pool_hits + d.pool_misses;
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ExpectTopKEqual(*got, internal::NaiveTopK(pts, x1, x2, k));
+  }
+  double per_query = static_cast<double>(pins) / kQueries;
+  // Measured with this seed: 229.0 with a selector walk per attempt and a
+  // pin per child record and pivot, 75.0 with one batched walk per query.
+  EXPECT_LT(per_query, 110.0);
+}
+
 TEST(TopkIndexTest, DestroyReleasesBlocks) {
   em::Pager pager(Opts());
   std::uint64_t base = pager.BlocksInUse();
