@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "util/bits.h"
 #include "util/check.h"
@@ -216,12 +215,6 @@ std::uint64_t OsTree::CountGreaterEq(double key, bool strict) const {
   }
 }
 
-std::uint64_t OsTree::CountInRange(double lo, double hi) const {
-  if (lo > hi) return 0;
-  return CountGreaterEq(lo, /*strict=*/false) -
-         CountGreaterEq(hi, /*strict=*/true);
-}
-
 StatusOr<Entry> OsTree::SelectDesc(std::uint64_t r) const {
   if (r < 1 || r > ref_.size) {
     return Status::OutOfRange("rank outside [1, size]");
@@ -246,57 +239,9 @@ StatusOr<Entry> OsTree::SelectDesc(std::uint64_t r) const {
   }
 }
 
-StatusOr<Entry> OsTree::SelectAsc(std::uint64_t r) const {
-  if (r < 1 || r > ref_.size) {
-    return Status::OutOfRange("rank outside [1, size]");
-  }
-  return SelectDesc(ref_.size - r + 1);
-}
-
-StatusOr<Entry> OsTree::SelectDescInRange(double lo, double hi,
-                                          std::uint64_t r) const {
-  std::uint64_t above = CountGreaterEq(hi, /*strict=*/true);
-  TOKRA_ASSIGN_OR_RETURN(Entry e, SelectDesc(above + r));
-  if (e.key < lo) {
-    return Status::OutOfRange("fewer than r keys in [lo, hi]");
-  }
-  return e;
-}
-
-StatusOr<Entry> OsTree::Max() const {
-  if (ref_.size == 0) return Status::NotFound("empty tree");
-  return SelectDesc(1);
-}
-
 StatusOr<Entry> OsTree::Min() const {
   if (ref_.size == 0) return Status::NotFound("empty tree");
   return SelectDesc(ref_.size);
-}
-
-void OsTree::ScanRange(double lo, double hi, std::vector<Entry>* out) const {
-  if (ref_.size == 0 || lo > hi) return;
-  // Descend to the leaf that could contain `lo`, then walk the leaf chain.
-  em::BlockId id = ref_.root;
-  while (true) {
-    em::PageRef page = pager_->Fetch(id);
-    if (PageIsLeaf(page)) break;
-    IntView node(std::move(page), InternalCap());
-    id = node.child(node.Route(lo));
-  }
-  while (id != em::kNullBlock) {
-    LeafView leaf(pager_->Fetch(id), LeafCap());
-    for (std::uint32_t i = 0; i < leaf.m(); ++i) {
-      double k = leaf.key(i);
-      if (k > hi) return;
-      if (k >= lo) out->push_back(Entry{k, leaf.aux(i)});
-    }
-    id = leaf.next();
-  }
-}
-
-void OsTree::ScanAll(std::vector<Entry>* out) const {
-  ScanRange(-std::numeric_limits<double>::infinity(),
-            std::numeric_limits<double>::infinity(), out);
 }
 
 // --- insertion --------------------------------------------------------

@@ -77,28 +77,11 @@ class OsTree {
   /// Descending rank of `key` (the paper's rank): number of keys >= key.
   std::uint64_t RankDesc(double key) const { return CountGreaterEq(key); }
 
-  /// Number of keys in [lo, hi]. O(lg_B n) I/Os.
-  std::uint64_t CountInRange(double lo, double hi) const;
-
   /// r-th largest entry, r in [1, size]. O(lg_B n) I/Os.
   StatusOr<Entry> SelectDesc(std::uint64_t r) const;
 
-  /// r-th smallest entry, r in [1, size]. O(lg_B n) I/Os.
-  StatusOr<Entry> SelectAsc(std::uint64_t r) const;
-
-  /// r-th largest entry among keys in [lo, hi]. O(lg_B n) I/Os.
-  StatusOr<Entry> SelectDescInRange(double lo, double hi,
-                                    std::uint64_t r) const;
-
-  /// Largest / smallest entry. O(lg_B n) I/Os.
-  StatusOr<Entry> Max() const;
+  /// Smallest entry. O(lg_B n) I/Os.
   StatusOr<Entry> Min() const;
-
-  /// Appends all entries with key in [lo, hi], ascending. O(lg_B n + t/B).
-  void ScanRange(double lo, double hi, std::vector<Entry>* out) const;
-
-  /// Appends all entries ascending. O(n/B) I/Os.
-  void ScanAll(std::vector<Entry>* out) const;
 
   /// Frees every block of the tree; the handle becomes empty. O(n/B) I/Os.
   void DestroyAll();

@@ -30,11 +30,6 @@ constexpr char kRebuildSuffix[] = ".rebuild";
 constexpr std::size_t kTraceCapacity = 4096;
 constexpr std::size_t kSlowQueryCapacity = 64;
 
-/// Shard fence shape at every (re)build: max-weight sub-ranges (64 cost
-/// ~1 KiB per shard) and Bloom bits per key.
-constexpr sketch::ShardFenceOptions kFenceOptions{.fence_slots = 64,
-                                                  .bloom_bits_per_key = 8};
-
 /// Refuses to serve shard `shard` of `storage_dir` WITHOUT its log when
 /// the log holds ANY record past `stamp`: logical records are acknowledged
 /// updates a WAL-less open would hide, and pre-images are evidence of torn
@@ -356,10 +351,9 @@ Status ShardedTopkEngine::BuildShardsLocked(std::vector<Point> points) {
       em.wal_path.clear();
     }
     auto shard = std::make_unique<Shard>(em);
-    shard->approx_size.store(chunks[i].size(), std::memory_order_relaxed);
     // Fresh fence per (re)build: rebuilds are where stale slot maxima and
     // grown-loose key bounds are tightened back to exact.
-    shard->fence = sketch::ShardFence::Build(chunks[i], kFenceOptions);
+    shard->fence = sketch::ShardFence::Build(chunks[i]);
     auto idx = core::TopkIndex::Build(shard->pager.get(),
                                       std::move(chunks[i]), options_.index);
     if (!idx.ok()) {
@@ -493,7 +487,6 @@ Status ShardedTopkEngine::InsertLocked(Shard& sh, const Point& p,
   Status st = sh.index->Insert(p);
   if (st.ok()) {
     FenceApply(sh, /*insert=*/true, p);
-    sh.approx_size.fetch_add(1, std::memory_order_relaxed);
     sh.dirty.store(true, std::memory_order_relaxed);
     n_inserts_.fetch_add(1, std::memory_order_relaxed);
     // Apply-then-log: the record reaches the log (and, per mode, the disk)
@@ -539,7 +532,6 @@ Status ShardedTopkEngine::DeleteLocked(Shard& sh, const Point& p,
       scores_.erase(p.score);
     }
     FenceApply(sh, /*insert=*/false, p);
-    sh.approx_size.fetch_sub(1, std::memory_order_relaxed);
     sh.dirty.store(true, std::memory_order_relaxed);
     n_deletes_.fetch_add(1, std::memory_order_relaxed);
     if (options_.WalEnabled()) {
@@ -594,11 +586,6 @@ void ShardedTopkEngine::RollbackShardOps(Shard& sh,
       return;
     }
     FenceApply(sh, /*insert=*/!op.insert, op.p);
-    if (op.insert) {
-      sh.approx_size.fetch_sub(1, std::memory_order_relaxed);
-    } else {
-      sh.approx_size.fetch_add(1, std::memory_order_relaxed);
-    }
     if (op.insert) {
       n_inserts_.fetch_sub(1, std::memory_order_relaxed);
     } else {
@@ -789,8 +776,8 @@ StatusOr<std::vector<Point>> ShardedTopkEngine::TopKLocked(
   // Consult each overlapping shard's fence — the captured view's immutable
   // snapshot (no lock), else the live fence under fence_mu only (never the
   // shard mutex, which in-flight probes hold for their whole duration):
-  // provably-empty ranges and Bloom-missed point lookups are dropped here,
-  // every survivor gets its best-possible-score upper bound.
+  // provably-empty ranges are dropped here, every survivor gets its
+  // best-possible-score upper bound.
   struct Cand {
     std::size_t j;
     double bound;
@@ -804,10 +791,6 @@ StatusOr<std::vector<Point>> ShardedTopkEngine::TopKLocked(
     std::unique_lock<std::mutex> fg;
     if (view == nullptr) fg = std::unique_lock<std::mutex>(sh.fence_mu);
     const sketch::ShardFence& fence = view != nullptr ? view->fence : sh.fence;
-    if (x1 == x2 && !fence.MightContain(x1)) {
-      ++pruned;
-      continue;
-    }
     const sketch::FenceBound fb = fence.RangeBound(x1, x2);
     if (!fb.maybe_nonempty) {
       ++pruned;
@@ -1411,7 +1394,6 @@ StatusOr<std::unique_ptr<ShardedTopkEngine>> ShardedTopkEngine::Recover(
     // clean until the first accepted update. Replayed shards are ahead of
     // their checkpoint again and must not be skipped by the next one.
     shard->dirty.store(replayed, std::memory_order_relaxed);
-    shard->approx_size.store(shard->index->size(), std::memory_order_relaxed);
     // One O(n_i/B) scan of the replayed state refills the exact-membership
     // registry and builds the shard's fence, exact for the recovered set.
     TOKRA_ASSIGN_OR_RETURN(auto all, ScanShard(*shard->index));
@@ -1421,7 +1403,7 @@ StatusOr<std::unique_ptr<ShardedTopkEngine>> ShardedTopkEngine::Recover(
         return Status::Internal("recovered shards overlap");
       }
     }
-    shard->fence = sketch::ShardFence::Build(all, kFenceOptions);
+    shard->fence = sketch::ShardFence::Build(all);
     shards.push_back(std::move(shard));
   }
   if (bounds[0] != -kInf || !std::is_sorted(bounds.begin(), bounds.end())) {
@@ -1515,11 +1497,10 @@ StatusOr<std::unique_ptr<ShardedTopkEngine>> ShardedTopkEngine::OpenSnapshot(
     }
     TOKRA_ASSIGN_OR_RETURN(shard->index,
                            core::TopkIndex::Open(shard->pager.get()));
-    shard->approx_size.store(shard->index->size(), std::memory_order_relaxed);
     // The fence is built from the same one-scan-per-shard Recover() pays
     // (read-only: the scan only reads the checkpointed blocks).
     TOKRA_ASSIGN_OR_RETURN(auto all, ScanShard(*shard->index));
-    shard->fence = sketch::ShardFence::Build(all, kFenceOptions);
+    shard->fence = sketch::ShardFence::Build(all);
     shard->dirty.store(false, std::memory_order_relaxed);
     // The shard's one view, with no pin: nothing writes the files. A
     // backend that cannot share a read view leaves it null, and the shard
@@ -1546,7 +1527,7 @@ Status ShardedTopkEngine::Rebalance() {
 bool ShardedTopkEngine::SkewedLocked() const {
   std::uint64_t total = 0, max_size = 0;
   for (const auto& sh : shards_) {
-    std::uint64_t n = sh->approx_size.load(std::memory_order_relaxed);
+    const std::uint64_t n = sh->size();
     total += n;
     max_size = std::max(max_size, n);
   }
@@ -1575,18 +1556,9 @@ Status ShardedTopkEngine::RebalanceLocked() {
         "restart and Recover() to roll it forward");
   }
   std::vector<Point> all;
-  std::uint64_t total = 0;
   for (const auto& sh : shards_) {
-    total += sh->approx_size.load(std::memory_order_relaxed);
-  }
-  all.reserve(total);
-  for (const auto& sh : shards_) {
-    std::uint64_t n = sh->approx_size.load(std::memory_order_relaxed);
-    if (n == 0) continue;
-    auto r = sh->index->TopK(-kInf, kInf, n);
-    if (!r.ok()) return r.status();
-    TOKRA_CHECK_EQ(r->size(), n);
-    all.insert(all.end(), r->begin(), r->end());
+    TOKRA_ASSIGN_OR_RETURN(auto r, ScanShard(*sh->index));
+    all.insert(all.end(), r.begin(), r.end());
   }
   TOKRA_RETURN_IF_ERROR(BuildShardsLocked(std::move(all)));
   n_rebalances_.fetch_add(1, std::memory_order_relaxed);
@@ -1600,7 +1572,7 @@ std::uint64_t ShardedTopkEngine::size() const {
     std::shared_lock<std::shared_mutex> tl(topology_mu_);
     std::uint64_t total = 0;
     for (const auto& sh : shards_) {
-      total += sh->approx_size.load(std::memory_order_relaxed);
+      total += sh->size();
     }
     return total;
   }
@@ -1613,7 +1585,7 @@ std::vector<std::uint64_t> ShardedTopkEngine::ShardSizes() const {
   std::vector<std::uint64_t> sizes;
   sizes.reserve(shards_.size());
   for (const auto& sh : shards_) {
-    sizes.push_back(sh->approx_size.load(std::memory_order_relaxed));
+    sizes.push_back(sh->size());
   }
   return sizes;
 }
@@ -1708,20 +1680,13 @@ void ShardedTopkEngine::CheckInvariants() const {
       continue;
     }
     sh.index->CheckInvariants();
-    std::uint64_t n = sh.index->size();
-    TOKRA_CHECK_EQ(n, sh.approx_size.load(std::memory_order_relaxed));
-    total += n;
-    if (n == 0) {
-      // Fence soundness for the empty shard: it must not claim residents.
-      sh.fence.CheckAgainst({});
-      continue;
-    }
-    auto r = sh.index->TopK(-kInf, kInf, n);
+    auto r = ScanShard(*sh.index);
     TOKRA_CHECK(r.ok());
-    TOKRA_CHECK_EQ(r->size(), n);
-    // Fence soundness: exact count, every live point inside the fence's
-    // bounds and never excludable by RangeBound/MightContain — the
-    // invariant that makes pruning answer-preserving (DESIGN.md §11).
+    total += r->size();
+    // Fence soundness: exact count (the engine's per-shard size), every
+    // live point inside the fence's bounds and never excludable by
+    // RangeBound — the invariant that makes pruning answer-preserving
+    // (DESIGN.md §11).
     sh.fence.CheckAgainst(*r);
     for (const Point& p : *r) {
       TOKRA_CHECK_EQ(ShardFor(p.x), i);  // point lives in its owning shard

@@ -347,17 +347,17 @@ class ShardedTopkEngine {
     std::shared_ptr<const ReadHandles> handles;
     std::unique_ptr<core::TopkIndex> index;
     mutable std::mutex mu;
-    std::atomic<std::uint64_t> approx_size{0};
     // Set on every accepted update; cleared by a successful checkpoint of
     // this shard. A clean shard's checkpoint is skipped (its file already
     // holds this exact state).
     std::atomic<bool> dirty{true};
     // Pruning sketch (DESIGN.md §11), in memory only: built by every open
-    // path from the shard's points before the shard serves. fence_mu lets
-    // the router read bounds without taking the shard mutex (which queries
-    // in flight hold for the whole probe); updates touch the fence under
-    // BOTH mu and fence_mu, so a router holding only fence_mu still sees a
-    // sound fence.
+    // path from the shard's points before the shard serves. Its exact count
+    // is the shard's size. fence_mu lets the router read bounds without
+    // taking the shard mutex (which queries in flight hold for the whole
+    // probe); updates touch the fence under BOTH mu and fence_mu, so a
+    // router holding only fence_mu still sees a sound fence. fence_mu is a
+    // leaf lock: nothing else is acquired while it is held.
     mutable std::mutex fence_mu;
     sketch::ShardFence fence;
     // The currently published view when the engine publishes views (MVCC
@@ -370,6 +370,12 @@ class ShardedTopkEngine {
     // this shard's pager, which must still be alive.
     mutable std::mutex view_mu;
     std::shared_ptr<const ShardView> view;
+
+    /// Points the shard holds: the fence's exact count, read under fence_mu.
+    std::uint64_t size() const {
+      std::lock_guard<std::mutex> g(fence_mu);
+      return fence.count();
+    }
 
     std::shared_ptr<const ShardView> LoadView() const {
       std::lock_guard<std::mutex> g(view_mu);

@@ -451,10 +451,6 @@ Status Lemma4Selector::Delete(const Point& p) {
 
 // --- queries --------------------------------------------------------
 
-std::uint64_t Lemma4Selector::CountInRange(double x1, double x2) const {
-  return Decompose(x1, x2).count();
-}
-
 RangeSelection Lemma4Selector::Decompose(double x1, double x2) const {
   // Canonical decomposition: multi-slabs (contiguous covered child runs) at
   // visited internal nodes + boundary leaves.

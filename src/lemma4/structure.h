@@ -98,14 +98,12 @@ class Lemma4Selector {
   Status Insert(const Point& p);
   Status Delete(const Point& p);
 
-  /// |S ∩ [x1,x2]|, exact: Decompose(x1, x2).count(). O(lg_B n) I/Os.
-  std::uint64_t CountInRange(double x1, double x2) const;
-
   /// The canonical decomposition of [x1,x2] (empty if x1 > x2).
   /// O(lg_B n) I/Os.
   RangeSelection Decompose(double x1, double x2) const;
 
-  /// Decompose(x1, x2).Select(k). Requires 1 <= k <= min(l, CountInRange).
+  /// Decompose(x1, x2).Select(k). Requires
+  /// 1 <= k <= min(l, Decompose(x1, x2).count()).
   /// O(lg_B n) I/Os.
   StatusOr<double> SelectApprox(double x1, double x2, std::uint64_t k) const;
 

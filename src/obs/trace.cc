@@ -23,16 +23,18 @@ void Tracer::Record(const Span& span) {
   const std::uint64_t pos = head_.fetch_add(1, std::memory_order_relaxed);
   Slot& s = slots_[pos & mask_];
   // Seqlock write: odd seq marks the slot mid-rewrite; readers seeing odd
-  // (or a seq that changed across their copy) discard it. release/acquire
-  // pairs order the payload stores against the seq stores.
+  // (or a seq that changed across their copy) discard it. Each payload
+  // store is a release, so a reader whose acquire load sees a new payload
+  // byte also sees the odd seq stored before it; releasing only the seq
+  // stores would not order the payload stores after the odd seq.
   const std::uint64_t seq = s.seq.load(std::memory_order_relaxed);
   s.seq.store(seq + 1, std::memory_order_release);
-  s.name.store(span.name, std::memory_order_relaxed);
-  s.id.store(span.id, std::memory_order_relaxed);
-  s.parent.store(span.parent, std::memory_order_relaxed);
-  s.start_us.store(span.start_us, std::memory_order_relaxed);
-  s.dur_us.store(span.dur_us, std::memory_order_relaxed);
-  s.tid.store(span.tid, std::memory_order_relaxed);
+  s.name.store(span.name, std::memory_order_release);
+  s.id.store(span.id, std::memory_order_release);
+  s.parent.store(span.parent, std::memory_order_release);
+  s.start_us.store(span.start_us, std::memory_order_release);
+  s.dur_us.store(span.dur_us, std::memory_order_release);
+  s.tid.store(span.tid, std::memory_order_release);
   s.seq.store(seq + 2, std::memory_order_release);
 }
 
@@ -43,13 +45,14 @@ std::vector<Tracer::Span> Tracer::Snapshot() const {
     const std::uint64_t seq0 = s.seq.load(std::memory_order_acquire);
     if (seq0 == 0 || (seq0 & 1) != 0) continue;  // empty or mid-rewrite
     Span span;
-    span.name = s.name.load(std::memory_order_relaxed);
-    span.id = s.id.load(std::memory_order_relaxed);
-    span.parent = s.parent.load(std::memory_order_relaxed);
-    span.start_us = s.start_us.load(std::memory_order_relaxed);
-    span.dur_us = s.dur_us.load(std::memory_order_relaxed);
-    span.tid = s.tid.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // Acquire loads: any payload byte from a later write carries that
+    // write's odd seq with it, so the re-check below sees seq0 change.
+    span.name = s.name.load(std::memory_order_acquire);
+    span.id = s.id.load(std::memory_order_acquire);
+    span.parent = s.parent.load(std::memory_order_acquire);
+    span.start_us = s.start_us.load(std::memory_order_acquire);
+    span.dur_us = s.dur_us.load(std::memory_order_acquire);
+    span.tid = s.tid.load(std::memory_order_acquire);
     if (s.seq.load(std::memory_order_relaxed) != seq0) continue;  // torn
     if (span.name == nullptr || span.id == 0) continue;
     out.push_back(span);

@@ -3,7 +3,7 @@
 // A span is one timed stage (a query, a shard probe, a merge, a checkpoint);
 // ScopedSpan measures it RAII-style and deposits a completed record into the
 // tracer's ring on destruction. The ring keeps the most recent `capacity`
-// spans — recording is an atomic cursor bump plus relaxed stores into the
+// spans — recording is an atomic cursor bump plus release stores into the
 // claimed slot (a per-slot sequence counter lets readers skip slots being
 // rewritten), so the hot path never takes a lock and retention is bounded.
 //

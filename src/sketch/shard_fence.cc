@@ -1,32 +1,14 @@
 #include "sketch/shard_fence.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
 
 #include "util/check.h"
 
 namespace tokra::sketch {
 
-namespace {
-
-inline std::uint64_t SplitMix64(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-inline std::uint64_t KeyHash(double x) {
-  return SplitMix64(std::bit_cast<std::uint64_t>(x));
-}
-
-}  // namespace
-
-ShardFence ShardFence::Build(std::span<const Point> points,
-                             const ShardFenceOptions& options) {
+ShardFence ShardFence::Build(std::span<const Point> points) {
   ShardFence f;
-  f.slots_.assign(std::max<std::uint32_t>(options.fence_slots, 1), Slot{});
+  f.slots_.assign(kSlots, Slot{});
   if (!points.empty()) {
     double lo = points.front().x, hi = points.front().x;
     for (const Point& p : points) {
@@ -37,20 +19,12 @@ ShardFence ShardFence::Build(std::span<const Point> points,
     f.lo_ = lo;
     f.hi_ = hi;
   }
-  if (options.bloom_bits_per_key > 0 && !points.empty()) {
-    // Round the filter up to whole blocks; at 8 bits/key the false-positive
-    // rate is a few percent, plenty for a routing hint.
-    std::size_t bits = points.size() * std::size_t{options.bloom_bits_per_key};
-    std::size_t blocks = (bits + kBloomBlockWords * 64 - 1) /
-                         (kBloomBlockWords * 64);
-    f.bloom_.assign(std::max<std::size_t>(blocks, 1) * kBloomBlockWords, 0);
-  }
   for (const Point& p : points) f.Insert(p);
   return f;
 }
 
 std::size_t ShardFence::SlotFor(double x) const {
-  if (!anchored_ || slots_.size() <= 1) return 0;
+  if (!anchored_) return 0;
   if (x <= lo_) return 0;
   if (x >= hi_) return slots_.size() - 1;
   double t = (x - lo_) / (hi_ - lo_);
@@ -67,7 +41,6 @@ void ShardFence::Insert(const Point& p) {
     ++s.count;
     s.max_score = std::max(s.max_score, p.score);
   }
-  BloomAdd(p.x);
 }
 
 void ShardFence::Delete(const Point& p) {
@@ -81,7 +54,6 @@ void ShardFence::Delete(const Point& p) {
     TOKRA_DCHECK_GT(s.count, 0u);
     --s.count;
   }
-  // Bloom bits are never cleared — false positives only, never negatives.
 }
 
 FenceBound ShardFence::RangeBound(double x1, double x2) const {
@@ -101,36 +73,6 @@ FenceBound ShardFence::RangeBound(double x1, double x2) const {
   return {true, best};
 }
 
-bool ShardFence::MightContain(double x) const {
-  if (count_ == 0 || x < min_x_ || x > max_x_) return false;
-  return BloomTest(x);
-}
-
-void ShardFence::BloomAdd(double x) {
-  if (bloom_.empty()) return;
-  std::uint64_t h = KeyHash(x);
-  std::size_t block =
-      (h % (bloom_.size() / kBloomBlockWords)) * kBloomBlockWords;
-  for (std::uint32_t i = 0; i < kBloomProbes; ++i) {
-    std::uint64_t bit = (h >> (8 + 9 * i)) % (kBloomBlockWords * 64);
-    bloom_[block + bit / 64] |= std::uint64_t{1} << (bit % 64);
-  }
-}
-
-bool ShardFence::BloomTest(double x) const {
-  if (bloom_.empty()) return true;  // filter disabled: cannot exclude
-  std::uint64_t h = KeyHash(x);
-  std::size_t block =
-      (h % (bloom_.size() / kBloomBlockWords)) * kBloomBlockWords;
-  for (std::uint32_t i = 0; i < kBloomProbes; ++i) {
-    std::uint64_t bit = (h >> (8 + 9 * i)) % (kBloomBlockWords * 64);
-    if ((bloom_[block + bit / 64] & (std::uint64_t{1} << (bit % 64))) == 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void ShardFence::CheckAgainst(std::span<const Point> points) const {
   TOKRA_CHECK_EQ(count_, points.size());
   for (const Point& p : points) {
@@ -138,7 +80,6 @@ void ShardFence::CheckAgainst(std::span<const Point> points) const {
     FenceBound b = RangeBound(p.x, p.x);
     TOKRA_CHECK(b.maybe_nonempty);
     TOKRA_CHECK_GE(b.best_score, p.score);
-    TOKRA_CHECK(MightContain(p.x));
   }
 }
 

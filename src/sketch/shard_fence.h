@@ -7,22 +7,21 @@
 // k-th score" (skip it) or "this key range holds no points of this shard at
 // all" (skip it) without touching the shard's index:
 //
+//   * the shard's exact point count — the engine's one per-shard size;
 //   * key-range min/max of the held points (outer bounds: insert tightens,
 //     delete leaves them — still sound);
 //   * a fixed-width max-weight fence array: the shard's key span at build
-//     time is cut into `fence_slots` sub-ranges, each tracking an exact
-//     point count and an upper bound on the max score of its residents
-//     (insert raises it; delete keeps it — an upper bound until the next
-//     rebuild tightens it);
-//   * a blocked Bloom filter over keys for point-ish (x1 == x2) lookups —
-//     one cache line per probe, no false negatives, deletes leave bits set.
+//     time is cut into kSlots sub-ranges, each tracking an exact point
+//     count and an upper bound on the max score of its residents (insert
+//     raises it; delete keeps it — an upper bound until the next rebuild
+//     tightens it).
 //
 // Everything is an over-approximation in the safe direction: the fence may
-// fail to prune (stale max, clamped edge slots, Bloom false positive) but
-// can never prune a shard that holds a top-k result — RangeBound() returns
-// an upper bound on the best in-range score, and `maybe_nonempty == false`
-// only when the slot counts prove the range empty. The slot mapping is a
-// fixed monotone function of x, so insert/delete keep counts exact.
+// fail to prune (stale max, clamped edge slots) but can never prune a shard
+// that holds a top-k result — RangeBound() returns an upper bound on the
+// best in-range score, and `maybe_nonempty == false` only when the slot
+// counts prove the range empty. The slot mapping is a fixed monotone
+// function of x, so insert/delete keep counts exact.
 //
 // A fence lives in memory only. Every engine open path builds it from a
 // point set it already holds — Build's chunks, or the one full scan per
@@ -41,16 +40,6 @@
 
 namespace tokra::sketch {
 
-struct ShardFenceOptions {
-  /// Max-weight sub-ranges per shard. More slots = tighter bounds, bigger
-  /// fence; 64 slots cost ~1KiB per shard.
-  std::uint32_t fence_slots = 64;
-  /// Bloom bits per key at build time (0 disables the filter). The filter
-  /// size is fixed at build; later inserts keep adding bits, so it only
-  /// loses precision, never correctness.
-  std::uint32_t bloom_bits_per_key = 8;
-};
-
 /// Verdict of RangeBound: when `maybe_nonempty` is false the fence PROVES
 /// the shard holds no point in the range; otherwise `best_score` is an upper
 /// bound on the best score the shard could contribute there.
@@ -67,8 +56,7 @@ class ShardFence {
   /// Builds the fence over the shard's current points. The slot geometry is
   /// anchored to the points' key span and stays fixed until the next Build
   /// (later inserts outside the span clamp into the edge slots).
-  static ShardFence Build(std::span<const Point> points,
-                          const ShardFenceOptions& options);
+  static ShardFence Build(std::span<const Point> points);
 
   /// Maintains the fence for one accepted update. O(1); Insert keeps every
   /// bound exact-or-tight, Delete leaves score/key bounds loose but sound.
@@ -80,16 +68,15 @@ class ShardFence {
   /// Conservative verdict for the key range [x1, x2] (see FenceBound).
   FenceBound RangeBound(double x1, double x2) const;
 
-  /// False only when NO held point has key x (point-query pruning). May
-  /// return true for absent keys (Bloom false positive / deleted key).
-  bool MightContain(double x) const;
-
   /// Validates soundness against the live point set: exact count, every
-  /// point inside the key bounds, RangeBound/MightContain never exclude a
-  /// held point. Test/CheckInvariants helper; O(n * fence_slots) CPU.
+  /// point inside the key bounds, RangeBound never excludes a held point.
+  /// Test/CheckInvariants helper; O(n) CPU.
   void CheckAgainst(std::span<const Point> points) const;
 
  private:
+  /// Max-weight sub-ranges per fence: 64 slots cost ~1 KiB per shard.
+  static constexpr std::size_t kSlots = 64;
+
   struct Slot {
     std::uint64_t count = 0;
     double max_score = -std::numeric_limits<double>::infinity();
@@ -97,9 +84,6 @@ class ShardFence {
 
   /// Monotone fixed mapping x -> slot (clamped at the anchored edges).
   std::size_t SlotFor(double x) const;
-
-  void BloomAdd(double x);
-  bool BloomTest(double x) const;
 
   std::uint64_t count_ = 0;
   // Outer key bounds of the held points (grow-only between rebuilds).
@@ -110,12 +94,6 @@ class ShardFence {
   bool anchored_ = false;
   double lo_ = 0, hi_ = 0;
   std::vector<Slot> slots_;
-  // Blocked Bloom filter: kBloomBlockWords-word blocks, kBloomProbes bits
-  // set within one block per key. Empty vector = disabled.
-  std::vector<std::uint64_t> bloom_;
-
-  static constexpr std::uint32_t kBloomBlockWords = 8;  // 512-bit block
-  static constexpr std::uint32_t kBloomProbes = 3;
 };
 
 }  // namespace tokra::sketch

@@ -549,32 +549,31 @@ TEST(ShardedEngineTest, PruningMatchesOracleAndPrunesShards) {
   engine->CheckInvariants();
 }
 
-// Point lookups (x1 == x2) go through the Bloom filter: present keys are
-// always found, absent keys mostly never reach a shard at all.
-TEST(ShardedEngineTest, BloomPrunesAbsentPointLookups) {
+// Point lookups (x1 == x2): present keys are always found, absent keys
+// answer empty. The lookup overlaps exactly one shard, which the fence
+// either prunes or the query probes.
+TEST(ShardedEngineTest, PointLookupsFindPresentKeysOnly) {
   Rng rng(13);
   std::vector<Point> pts = RandomPoints(&rng, 800);
   auto engine = ShardedTopkEngine::Build(pts, Opts(4, 2)).value();
 
   for (int i = 0; i < 20; ++i) {
     const Point& p = pts[static_cast<std::size_t>(i) * 37];
-    auto got = engine->TopK(p.x, p.x, 1);
+    EngineQueryStats stats;
+    auto got = engine->TopK(p.x, p.x, 1, &stats);
     ASSERT_TRUE(got.ok());
     ExpectPointsEqual(*got, {p});
+    EXPECT_EQ(stats.shards_queried, 1u);
   }
 
-  std::uint64_t pruned = 0;
   for (int i = 0; i < 30; ++i) {
     double x = rng.UniformDouble(10.0, 990.0);  // absent almost surely
     EngineQueryStats stats;
     auto got = engine->TopK(x, x, 1, &stats);
     ASSERT_TRUE(got.ok());
     EXPECT_TRUE(got->empty());
-    pruned += stats.shards_pruned;
+    EXPECT_EQ(stats.shards_queried + stats.shards_pruned, 1u);
   }
-  // ~8 bits/key Bloom: a handful of false positives at worst across 30
-  // lookups, so pruning must have fired.
-  EXPECT_GT(pruned, 0u);
   engine->CheckInvariants();
 }
 

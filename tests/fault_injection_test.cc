@@ -338,19 +338,22 @@ void RunWorkload(engine::ShardedTopkEngine* eng,
   }
 }
 
-/// One x per shard, chosen so a TopK(x, x, k) probes exactly that shard.
-std::vector<double> ShardProbePoints(const std::vector<double>& lb) {
-  std::vector<double> probes(lb.size());
+/// Counts the shards of `eng` (lower bounds `lb`) that still answer. Each
+/// shard is probed over its own key range, [lb[i], the largest double below
+/// lb[i+1]], and an OK answer must come from a probe that reached the
+/// shard: a range the fence prunes would report a failed shard as healthy.
+std::uint32_t HealthyShards(const engine::ShardedTopkEngine& eng,
+                            const std::vector<double>& lb) {
+  std::uint32_t healthy = 0;
   for (std::size_t i = 0; i < lb.size(); ++i) {
-    if (i == 0) {
-      probes[i] = lb[1] - 1.0;
-    } else if (i + 1 < lb.size()) {
-      probes[i] = (lb[i] + lb[i + 1]) / 2.0;
-    } else {
-      probes[i] = lb[i] + 1.0;
-    }
+    const double x2 = i + 1 < lb.size() ? std::nextafter(lb[i + 1], -kInf)
+                                        : kInf;
+    engine::EngineQueryStats stats;
+    if (!eng.TopK(lb[i], x2, 4, &stats).ok()) continue;
+    EXPECT_EQ(stats.shards_queried, 1u) << "probe never reached shard " << i;
+    ++healthy;
   }
-  return probes;
+  return healthy;
 }
 
 /// Runs the seeded workload against a fresh engine with `inj` armed (or
@@ -383,10 +386,7 @@ std::uint64_t TortureRun(const std::string& tag, em::FaultInjector* inj,
     // Availability: a single injected fault can degrade at most the one
     // shard whose device stack it hit; every other shard keeps answering.
     const std::vector<double> lb = eng->ShardLowerBounds();
-    std::uint32_t healthy = 0;
-    for (double x : ShardProbePoints(lb)) {
-      if (eng->TopK(x, x, 4).ok()) ++healthy;
-    }
+    const std::uint32_t healthy = HealthyShards(*eng, lb);
     EXPECT_GE(healthy + 1, lb.size()) << "more than one shard degraded";
     eng->CheckInvariants();  // skips failed shards; must not abort
   }
@@ -584,10 +584,7 @@ TEST(FaultTortureTest, EnospcGrowFaultFailsCleanlyAndRecovers) {
 
   // Healthy shards keep serving.
   const std::vector<double> lb = eng->ShardLowerBounds();
-  std::uint32_t healthy = 0;
-  for (double x : ShardProbePoints(lb)) {
-    if (eng->TopK(x, x, 4).ok()) ++healthy;
-  }
+  const std::uint32_t healthy = HealthyShards(*eng, lb);
   EXPECT_GE(healthy + 1, lb.size());
 
   built->reset();
@@ -648,10 +645,7 @@ TEST(FaultTortureTest, EnospcViaRlimitFsize) {
 
   // Healthy shards keep serving under the refused growth.
   const std::vector<double> lb = eng->ShardLowerBounds();
-  std::uint32_t healthy = 0;
-  for (double x : ShardProbePoints(lb)) {
-    if (eng->TopK(x, x, 4).ok()) ++healthy;
-  }
+  const std::uint32_t healthy = HealthyShards(*eng, lb);
   EXPECT_GE(healthy + 1, lb.size());
 
   built->reset();

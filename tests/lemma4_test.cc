@@ -36,7 +36,7 @@ TEST(Lemma4Test, EmptyAndErrors) {
   em::Pager pager(Opts());
   Lemma4Selector s = Lemma4Selector::Build(&pager, {}, SmallParams());
   EXPECT_EQ(s.size(), 0u);
-  EXPECT_EQ(s.CountInRange(0, 10), 0u);
+  EXPECT_EQ(s.Decompose(0, 10).count(), 0u);
   EXPECT_FALSE(s.SelectApprox(0, 10, 1).ok());
   EXPECT_EQ(s.Delete({1, 1}).code(), StatusCode::kNotFound);
   EXPECT_EQ(s.SelectApprox(0, 1, 1000).status().code(),
@@ -123,7 +123,7 @@ TEST_P(Lemma4PropertyTest, ApproximationAgainstOracle) {
     double a = rng.UniformDouble(-10, 1010), b = rng.UniformDouble(-10, 1010);
     double x1 = std::min(a, b), x2 = std::max(a, b);
     std::uint64_t total = internal::NaiveRangeCount(live, x1, x2);
-    EXPECT_EQ(s.CountInRange(x1, x2), total);
+    EXPECT_EQ(s.Decompose(x1, x2).count(), total);
     if (total == 0) continue;
     std::uint64_t k = 1 + rng.Uniform(std::min<std::uint64_t>(total, s.l()));
     auto res = s.SelectApprox(x1, x2, k);

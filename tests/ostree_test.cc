@@ -25,7 +25,6 @@ TEST(OsTreeTest, EmptyTree) {
   EXPECT_EQ(t.size(), 0u);
   EXPECT_TRUE(t.empty());
   EXPECT_FALSE(t.Contains(1.0));
-  EXPECT_EQ(t.Max().status().code(), StatusCode::kNotFound);
   EXPECT_EQ(t.SelectDesc(1).status().code(), StatusCode::kOutOfRange);
   EXPECT_EQ(t.CountGreaterEq(0.0), 0u);
 }
@@ -39,7 +38,6 @@ TEST(OsTreeTest, SingleElement) {
   EXPECT_EQ(*t.FindAux(3.5), 7.0);
   EXPECT_EQ(t.RankDesc(3.5), 1u);
   EXPECT_EQ(t.SelectDesc(1)->key, 3.5);
-  EXPECT_EQ(t.Max()->key, 3.5);
   EXPECT_EQ(t.Min()->key, 3.5);
 }
 
@@ -74,10 +72,10 @@ class Oracle {
       if (key >= k) ++c;
     return c;
   }
-  std::uint64_t CountInRange(double lo, double hi) const {
+  std::uint64_t CountGreater(double k) const {
     std::uint64_t c = 0;
     for (const auto& [key, _] : m_)
-      if (key >= lo && key <= hi) ++c;
+      if (key > k) ++c;
     return c;
   }
   double SelectDesc(std::uint64_t r) const {
@@ -118,9 +116,12 @@ TEST_P(OsTreePropertyTest, RandomInsertLookupDelete) {
   for (int probe = 0; probe < 200; ++probe) {
     double q = keys[rng.Uniform(keys.size())];
     EXPECT_EQ(t.RankDesc(q), oracle.RankDesc(q));
+    EXPECT_EQ(t.CountGreaterEq(q, /*strict=*/true), oracle.CountGreater(q));
     EXPECT_TRUE(t.Contains(q));
     double off = rng.UniformDouble(-1100, 1100);
     EXPECT_EQ(t.RankDesc(off), oracle.RankDesc(off)) << off;
+    EXPECT_EQ(t.CountGreaterEq(off, /*strict=*/true), oracle.CountGreater(off))
+        << off;
   }
   for (int probe = 0; probe < 100; ++probe) {
     std::uint64_t r = 1 + rng.Uniform(oracle.size());
@@ -158,43 +159,6 @@ INSTANTIATE_TEST_SUITE_P(
           .append(std::to_string(info.param.n));
     });
 
-TEST(OsTreeTest, ScanRangeMatchesOracle) {
-  em::Pager pager(SmallOpts(64));
-  OsTree t = OsTree::Create(&pager);
-  Rng rng(77);
-  auto keys = rng.DistinctDoubles(1500, 0.0, 100.0);
-  for (double k : keys) ASSERT_TRUE(t.Insert(k, -k).ok());
-  std::sort(keys.begin(), keys.end());
-  for (int probe = 0; probe < 50; ++probe) {
-    double lo = rng.UniformDouble(-5, 105);
-    double hi = lo + rng.UniformDouble(0, 40);
-    std::vector<Entry> got;
-    t.ScanRange(lo, hi, &got);
-    std::vector<double> want;
-    for (double k : keys)
-      if (k >= lo && k <= hi) want.push_back(k);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].key, want[i]);
-      EXPECT_EQ(got[i].aux, -want[i]);
-    }
-    EXPECT_EQ(t.CountInRange(lo, hi), want.size());
-  }
-}
-
-TEST(OsTreeTest, SelectDescInRange) {
-  em::Pager pager(SmallOpts(64));
-  OsTree t = OsTree::Create(&pager);
-  for (int i = 1; i <= 100; ++i) ASSERT_TRUE(t.Insert(i, 0).ok());
-  // Keys 30..60; 3rd largest is 58.
-  auto e = t.SelectDescInRange(30, 60, 3);
-  ASSERT_TRUE(e.ok());
-  EXPECT_EQ(e->key, 58);
-  // Rank beyond the range size fails.
-  EXPECT_EQ(t.SelectDescInRange(30, 32, 5).status().code(),
-            StatusCode::kOutOfRange);
-}
-
 TEST(OsTreeTest, BulkLoadMatchesIncremental) {
   em::Pager pager(SmallOpts(64));
   Rng rng(4242);
@@ -224,7 +188,7 @@ TEST(OsTreeTest, BulkLoadEmptyAndTiny) {
   std::vector<Entry> one{{5.0, 6.0}};
   OsTree t1 = OsTree::BulkLoad(&pager, one);
   EXPECT_EQ(t1.size(), 1u);
-  EXPECT_EQ(t1.Max()->key, 5.0);
+  EXPECT_EQ(t1.SelectDesc(1)->key, 5.0);
   t1.CheckInvariants();
 }
 

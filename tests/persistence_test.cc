@@ -1273,15 +1273,17 @@ TEST(EnginePersistenceTest, FenceRoundTripsThroughCheckpointRecover) {
   EXPECT_GT(pruned, 0u) << "recovered engine never pruned: fence not built";
 }
 
-// A fence built at open is exact again: deletes leave Bloom bits set in the
-// live fence, but the recovered one never saw the deleted keys, so point
-// lookups on them are pruned (up to the filter's few-percent false
-// positives).
-TEST(EnginePersistenceTest, RecoveredFenceDropsDeletedKeys) {
+// A fence built at open is exact again: a delete leaves its slot's max
+// score stale in the live fence, but the recovered fence never saw the
+// deleted point. Shard 0 holds a champion with the top score; once it is
+// deleted, a query over the end of shard 0 and the start of shard 1 still
+// probes shard 0 live (its stale slot max outranks shard 1), while the
+// recovered engine fills k from shard 1 and prunes shard 0.
+TEST(EnginePersistenceTest, RecoveredFenceTightensStaleSlotMax) {
   TempDir dir("engine-fence-deleted");
   engine::EngineOptions opts;
   opts.num_shards = 4;
-  opts.threads = 2;
+  opts.threads = 1;  // serial fan-out: the frontier is checked per shard
   opts.em.block_words = 64;
   opts.em.pool_frames = 16;
   opts.storage_dir = dir.path();
@@ -1289,28 +1291,44 @@ TEST(EnginePersistenceTest, RecoveredFenceDropsDeletedKeys) {
 
   Rng rng(75);
   auto points = MonotonePersistPoints(&rng, 800);
-  std::vector<Point> deleted;
-  for (std::size_t i = 0; i < 50; ++i) deleted.push_back(points[5 + 15 * i]);
+  const Point champion{(points[150].x + points[151].x) / 2, 50.0};
+  std::vector<Point> built_from = points;
+  built_from.push_back(champion);
+  const double a = points[100].x, b = points[300].x;
+  const std::uint64_t k = 10;
+  const auto want = internal::NaiveTopK(points, a, b, k);
+
+  auto query = [&](const engine::ShardedTopkEngine& eng) {
+    engine::EngineQueryStats stats;
+    auto got = eng.TopK(a, b, k, &stats);
+    EXPECT_TRUE(got.ok());
+    if (got.ok()) {
+      EXPECT_EQ(*got, want);
+    }
+    EXPECT_EQ(stats.shards_queried + stats.shards_pruned, 2u);
+    return stats.shards_pruned;
+  };
   {
-    auto built = engine::ShardedTopkEngine::Build(points, opts);
+    auto built = engine::ShardedTopkEngine::Build(built_from, opts);
     ASSERT_TRUE(built.ok());
-    for (const Point& p : deleted) ASSERT_TRUE((*built)->Delete(p).ok());
+    // The champion lives in shard 0; [a, b] spans shards 0 and 1, and
+    // shard 1 alone holds at least k points of it.
+    const auto lb = (*built)->ShardLowerBounds();
+    ASSERT_GE(lb.size(), 3u);
+    ASSERT_LT(champion.x, lb[1]);
+    ASSERT_LT(a, lb[1]);
+    ASSERT_GE(b, lb[1]);
+    ASSERT_LT(b, lb[2]);
+    ASSERT_GE(internal::NaiveTopK(points, lb[1], b, k).size(), k);
+    ASSERT_TRUE((*built)->Delete(champion).ok());
     ASSERT_TRUE((*built)->Checkpoint().ok());
+    EXPECT_EQ(query(**built), 0u) << "live fence lost its stale slot max";
   }
 
   auto recovered = engine::ShardedTopkEngine::Recover(opts);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  auto& eng = *recovered;
-  eng->CheckInvariants();
-  int pruned = 0;
-  for (const Point& p : deleted) {
-    engine::EngineQueryStats stats;
-    auto got = eng->TopK(p.x, p.x, 1, &stats);
-    ASSERT_TRUE(got.ok());
-    EXPECT_TRUE(got->empty());
-    if (stats.shards_pruned == 1) ++pruned;
-  }
-  EXPECT_GE(pruned, 40) << "recovered fence still holds deleted keys";
+  (*recovered)->CheckInvariants();
+  EXPECT_EQ(query(**recovered), 1u) << "recovered fence kept a stale max";
 }
 
 // Post-checkpoint WAL-only updates must reach the fence too (Recover()

@@ -375,7 +375,7 @@ TEST(ShardFenceTest, BuildIsSoundAgainstBruteForce) {
   Rng rng(91);
   for (std::size_t n : {1, 2, 7, 64, 500}) {
     auto pts = FencePoints(&rng, n);
-    ShardFence f = ShardFence::Build(pts, {});
+    ShardFence f = ShardFence::Build(pts);
     EXPECT_EQ(f.count(), n);
     f.CheckAgainst(pts);
     ExpectSoundOnRanges(f, pts, &rng, 200, 1e4);
@@ -386,7 +386,7 @@ TEST(ShardFenceTest, IncrementalUpdatesStaySound) {
   Rng rng(92);
   auto pts = FencePoints(&rng, 600);
   std::vector<Point> base(pts.begin(), pts.begin() + 300);
-  ShardFence f = ShardFence::Build(base, {});
+  ShardFence f = ShardFence::Build(base);
   std::vector<Point> live = base;
   // Inserts beyond the anchored span (clamped into edge slots) and inside.
   for (std::size_t i = 300; i < 600; ++i) {
@@ -408,26 +408,10 @@ TEST(ShardFenceTest, IncrementalUpdatesStaySound) {
   ExpectSoundOnRanges(f, rest, &rng, 300, 1e4);
 }
 
-TEST(ShardFenceTest, BloomHasNoFalseNegatives) {
-  Rng rng(93);
-  auto pts = FencePoints(&rng, 400);
-  ShardFence f = ShardFence::Build(pts, {});
-  for (const Point& p : pts) EXPECT_TRUE(f.MightContain(p.x));
-  // Deletes never clear bits: the remaining points must all still pass.
-  for (std::size_t i = 0; i < pts.size(); i += 2) f.Delete(pts[i]);
-  for (std::size_t i = 1; i < pts.size(); i += 2) {
-    EXPECT_TRUE(f.MightContain(pts[i].x));
-  }
-  // Absent keys outside the key bounds are definite misses.
-  EXPECT_FALSE(f.MightContain(-5.0));
-  EXPECT_FALSE(f.MightContain(2e4));
-}
-
 TEST(ShardFenceTest, EmptyBuildAndGrowth) {
-  ShardFence f = ShardFence::Build({}, {});
+  ShardFence f = ShardFence::Build({});
   EXPECT_EQ(f.count(), 0u);
   EXPECT_FALSE(f.RangeBound(-1e18, 1e18).maybe_nonempty);
-  EXPECT_FALSE(f.MightContain(0.0));
   // An empty-built fence is unanchored (every key maps to one slot) but
   // must stay sound as points arrive.
   Rng rng(96);
