@@ -1,5 +1,6 @@
 #include "em/pager.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -245,9 +246,9 @@ Status Pager::AdvanceReadView(std::uint64_t expected_epoch,
   // a dropped name reloads from its old location either way.
   if (epoch_ + 1 == expected_epoch) {
     for (BlockId id : changed) pool_.Invalidate(id);
-  } else {
-    pool_.DropAll();
+    return LoadSuperblock(expected_epoch, &changed);
   }
+  pool_.DropAll();
   return LoadSuperblock(expected_epoch);
 }
 
@@ -558,7 +559,8 @@ Status Pager::AttachWalAndUndo() {
   return io_status();
 }
 
-Status Pager::LoadSuperblock(std::uint64_t expected_epoch) {
+Status Pager::LoadSuperblock(std::uint64_t expected_epoch,
+                             const std::span<const BlockId>* delta) {
   const std::uint32_t b = B();
   if (b < kSuperHeaderWords) {
     return Status::FailedPrecondition("block too small for a superblock");
@@ -645,15 +647,32 @@ Status Pager::LoadSuperblock(std::uint64_t expected_epoch) {
   // translation map is live state that cannot be dropped; an option-enabled
   // reopen of a non-COW device starts COW from here (empty map).
   cow_ = options_.cow_epochs || (super[kWFlags] & kFlagCowEpochs) != 0;
-  map_.clear();
-  orphans_.clear();
-  for (std::size_t i = 0; i < map_count; ++i) {
-    const BlockId name = stream[free_count + 2 * i];
-    const BlockId loc = stream[free_count + 2 * i + 1];
-    map_[name] = loc;
-    // A mapped name's original location was persisted as neither live nor
-    // free: its name is still client-held. Reserve it until that free.
-    orphans_.insert(name);
+  if (delta != nullptr) {
+    // One epoch on: only the names the interval wrote back or freed can
+    // map differently (DESIGN.md §14.4), so only their entries are redone,
+    // still from the persisted stream.
+    std::vector<BlockId> names(delta->begin(), delta->end());
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    for (BlockId name : names) map_.erase(name);
+    for (std::size_t i = 0; i < map_count; ++i) {
+      const BlockId name = stream[free_count + 2 * i];
+      if (std::binary_search(names.begin(), names.end(), name)) {
+        map_[name] = stream[free_count + 2 * i + 1];
+      }
+    }
+    TOKRA_CHECK(map_.size() == map_count);
+  } else {
+    map_.clear();
+    orphans_.clear();
+    for (std::size_t i = 0; i < map_count; ++i) {
+      const BlockId name = stream[free_count + 2 * i];
+      map_[name] = stream[free_count + 2 * i + 1];
+      // A mapped name's original location was persisted as neither live
+      // nor free: its name is still client-held. Reserve it until that
+      // free (a read-only pager never allocates or frees).
+      if (!options_.read_only) orphans_.insert(name);
+    }
   }
   if (cow_) {
     pool_.SetTranslator(this);

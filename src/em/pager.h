@@ -390,7 +390,9 @@ class Pager : private WriteBarrier, private BlockTranslator {
   /// Writer side, COW only: the names whose blocks the last publish changed
   /// — every name written back or freed in the closed interval (E-1, E],
   /// where E is published_epoch(). A checkpoint that fails to publish keeps
-  /// collecting, so after it the next publish reports a superset.
+  /// collecting, so after it the next publish reports a superset. Only a
+  /// write-back or a free moves a name's location, so the list also names
+  /// every translation-map entry that may differ between E-1 and E.
   const std::vector<BlockId>& published_changes() const {
     return published_changes_;
   }
@@ -398,8 +400,9 @@ class Pager : private WriteBarrier, private BlockTranslator {
   /// Read-view side: moves an OpenOn() pager to the owner's epoch
   /// `expected_epoch` in place, keeping its pool warm. One epoch behind, it
   /// drops only the cached names in `changed` (the owner's
-  /// published_changes() for that epoch); further behind, it drops the
-  /// whole pool. Then it reloads the newest superblock. Fails, leaving the
+  /// published_changes() for that epoch) and, after reloading the newest
+  /// superblock, redoes only their translation-map entries; further behind,
+  /// it drops the whole pool and rebuilds the whole map. Fails, leaving the
   /// roots and translation map of the old epoch, when the newest valid
   /// superblock is not `expected_epoch` (an unreadable newest slot falls
   /// back to an older one, whose blocks the caller's pin may no longer
@@ -427,8 +430,11 @@ class Pager : private WriteBarrier, private BlockTranslator {
   /// Non-OK on a device that was never checkpointed, disagrees with
   /// `options_`, or (when `expected_epoch` is non-zero) whose newest valid
   /// superblock has another epoch. Transactional: every check runs before
-  /// any member changes, so a failed load leaves the pager as it was.
-  Status LoadSuperblock(std::uint64_t expected_epoch = 0);
+  /// any member changes, so a failed load leaves the pager as it was. With
+  /// `delta` (a one-epoch advance), only the map entries of the names in
+  /// *delta are replaced; the rest of map_ must already match the stream.
+  Status LoadSuperblock(std::uint64_t expected_epoch = 0,
+                        const std::span<const BlockId>* delta = nullptr);
 
   // ---- COW epoch machinery (cow_ only; see DESIGN.md §14) ----
   //
@@ -533,15 +539,18 @@ class Pager : private WriteBarrier, private BlockTranslator {
   std::vector<word_t> preimage_scratch_;
 
   // COW epoch state. Writer-thread only: map_, interval_fresh_, deferred_,
-  // the change lists, orphans_ (plus free_list_ above). Shared with pinning threads, guarded
-  // by epochs_mu_: pins_, retire_queue_, retire_ready_.
+  // the change lists, orphans_ (plus free_list_ above). Shared with pinning
+  // threads, guarded by epochs_mu_: pins_, retire_queue_, retire_ready_.
   bool cow_ = false;
   std::unordered_map<BlockId, BlockId> map_;  // name -> location (else id.)
   std::unordered_set<BlockId> interval_fresh_;  // locations born post-publish
   std::vector<BlockId> deferred_;  // superseded this interval
   std::vector<BlockId> interval_changes_;   // names written back or freed
   std::vector<BlockId> published_changes_;  // the same, for (E-1, E]
-  std::unordered_set<BlockId> orphans_;  // retired locations, names held
+  // Retired locations whose names are still held. Only DrainRetired and
+  // CowFree read it, so a read-only pager (which never allocates or frees)
+  // keeps it empty.
+  std::unordered_set<BlockId> orphans_;
   mutable std::mutex epochs_mu_;
   std::map<std::uint64_t, std::uint64_t> pins_;  // epoch -> pin count
   std::deque<std::pair<std::uint64_t, std::vector<BlockId>>> retire_queue_;

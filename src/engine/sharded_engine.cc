@@ -152,6 +152,7 @@ void ShardedTopkEngine::InitTelemetry() {
   mset_.shards_pruned_total = r.GetCounter("tokra_engine_shards_pruned_total");
   mset_.fence_checks_total = r.GetCounter("tokra_engine_fence_checks_total");
   mset_.query_waves_total = r.GetCounter("tokra_engine_query_waves_total");
+  mset_.view_publish_us = r.GetHistogram("tokra_engine_view_publish_us");
   mset_.view_advances_total =
       r.GetCounter("tokra_engine_view_advances_total");
   mset_.view_full_reloads_total =
@@ -1151,6 +1152,7 @@ void ShardedTopkEngine::PublishShardLocked(std::size_t i, Shard& sh) {
 
 void ShardedTopkEngine::StoreShardView(std::size_t i, Shard& sh,
                                        em::EpochPin pin) const {
+  obs::ScopedTimer timer(mset_.view_publish_us);
   // An abandoned view (any failure below) is destroyed, which releases the
   // pin; the published view keeps its own.
   auto view = std::make_shared<ShardView>();

@@ -119,7 +119,8 @@ struct EngineMetricSet {
   obs::Counter* shards_pruned_total = nullptr;
   obs::Counter* fence_checks_total = nullptr;
   obs::Counter* query_waves_total = nullptr;
-  // MVCC read-handle advances (DESIGN.md §14.4).
+  // MVCC view publication (DESIGN.md §14.4).
+  obs::Histogram* view_publish_us = nullptr;  ///< whole StoreShardView
   obs::Counter* view_advances_total = nullptr;
   obs::Counter* view_full_reloads_total = nullptr;
   // The em layer's sinks (eviction stall, WAL append/fsync, pager

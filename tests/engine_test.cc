@@ -772,6 +772,13 @@ void ExpectPublishKeepsReadHandlesWarm(EngineOptions o) {
             std::string::npos);
   EXPECT_NE(dump.find("tokra_engine_view_full_reloads_total 0\n"),
             std::string::npos);
+  // One timed publication for Build's views and one per insert.
+  const std::uint64_t publishes = 1 + 2;
+  EXPECT_EQ(engine->metric_set().view_publish_us->Snapshot().count,
+            publishes);
+  EXPECT_NE(dump.find("tokra_engine_view_publish_us_count " +
+                      std::to_string(publishes) + "\n"),
+            std::string::npos);
   engine->CheckInvariants();
 }
 

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -1567,6 +1568,84 @@ TEST(CowEpochTest, FailedAdvanceKeepsPreviousEpoch) {
       << "only the rewritten blocks reload";
   view->reset();
   pin.Release();
+}
+
+// A one-epoch advance redoes only the translation-map entries of the
+// names in published_changes() (DESIGN.md §14.4). Over 40 seeded epochs
+// that rewrite, free and allocate names (released pins let retired ids
+// come back as new names and locations), a view advanced epoch by epoch
+// must read what a fresh OpenOn at the same epoch reads. One epoch is
+// skipped, so the next advance rebuilds the whole map instead.
+void ExpectAdvancedViewMatchesFreshOpen(em::Backend backend,
+                                        const std::string& tag) {
+  TempDir dir(tag);
+  em::EmOptions opts = CowOpts(dir.File("dev.blk"));
+  opts.backend = backend;
+  em::Pager pager(opts);
+  Rng rng(19);
+  std::map<em::BlockId, em::word_t> live;  // name -> word 0
+  em::word_t next_word = 1;
+  auto create = [&] {
+    const em::BlockId id = pager.Allocate();
+    pager.Create(id).Set(0, next_word);
+    live[id] = next_word++;
+  };
+  for (int i = 0; i < 64; ++i) create();
+  auto checkpoint = [&] {
+    const std::uint64_t roots[1] = {live.begin()->first};
+    ASSERT_TRUE(pager.Checkpoint(roots).ok());
+  };
+  checkpoint();
+  em::EpochPin pin = pager.PinEpoch();
+  auto view = em::Pager::OpenOn(pager.ShareReadView(), opts);
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  std::uint64_t full_advances = 0;
+  for (int epoch = 0; epoch < 40; ++epoch) {
+    for (auto& [id, word] : live) {
+      if (rng.Uniform(4) != 0) continue;
+      pager.Fetch(id).Set(0, next_word);
+      word = next_word++;
+    }
+    const std::size_t frees = rng.Uniform(6);
+    for (std::size_t f = 0; f < frees && live.size() > 1; ++f) {
+      auto it = std::next(live.begin(), rng.Uniform(live.size()));
+      pager.Free(it->first);
+      live.erase(it);
+    }
+    while (live.size() < 64) create();
+    checkpoint();
+    const std::uint64_t e = pager.published_epoch();
+    const bool skip = epoch == 20;
+    if (!skip) {
+      if ((*view)->published_epoch() + 1 != e) ++full_advances;
+      ASSERT_TRUE(
+          (*view)->AdvanceReadView(e, pager.published_changes()).ok());
+      ASSERT_EQ((*view)->published_epoch(), e);
+      pin = pager.PinEpoch();  // the old pin goes: its blocks may retire
+    }
+    auto fresh = em::Pager::OpenOn(pager.ShareReadView(), opts);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    ASSERT_EQ((*fresh)->published_epoch(), e);
+    for (const auto& [id, word] : live) {
+      EXPECT_EQ((*fresh)->Fetch(id).Get(0), word)
+          << "fresh open, epoch " << e << ", name " << id;
+      if (skip) continue;
+      EXPECT_EQ((*view)->Fetch(id).Get(0), word)
+          << "advanced view, epoch " << e << ", name " << id;
+    }
+  }
+  EXPECT_EQ(full_advances, 1u);
+  EXPECT_GT(pager.retired_blocks_total(), 0u);
+  view->reset();
+  pin.Release();
+}
+
+TEST(CowEpochTest, AdvancedViewMatchesFreshOpen) {
+  ExpectAdvancedViewMatchesFreshOpen(em::Backend::kFile, "cow-delta-file");
+}
+
+TEST(CowEpochTest, AdvancedViewMatchesFreshOpenOnMmap) {
+  ExpectAdvancedViewMatchesFreshOpen(em::Backend::kMmap, "cow-delta-mmap");
 }
 
 // Superseded blocks return to the free list once no pin can reach them:
