@@ -26,51 +26,52 @@ struct SketchPivot {
   std::uint64_t rank_hint = 0;
 };
 
+/// The rank a built pivot of level j takes in a set of l values:
+/// min(l, floor(3/2 * 2^(j-1))), the middle of the window [2^(j-1), 2^j).
+inline std::uint64_t PivotRank(std::uint32_t j, std::uint64_t l) {
+  std::uint64_t lo = std::uint64_t{1} << (j - 1);
+  return std::min<std::uint64_t>(l, lo + lo / 2);
+}
+
+/// Places the pivots of levels upto, upto-1, ..., 1 of the set `vals`
+/// (any order; reordered in place) and calls emit(j, value, rank) for each,
+/// with rank = PivotRank(j, l). Requires upto <= floor(lg l) + 1. Top-down:
+/// each pivot is found by nth_element on the prefix above the previous one,
+/// so the cost is O(l + PivotRank(upto, l)) expected, and the values are
+/// the ones a full sort would pick. A level's value does not depend on
+/// upto, so a caller that needs only the low levels (Lemma 7's sweep for a
+/// small rank) stops at the level it can reach.
+template <typename Emit>
+void ForEachPivot(std::span<double> vals, std::uint32_t upto, Emit emit) {
+  TOKRA_DCHECK(upto == 0 || upto <= FloorLog2(vals.size()) + 1);
+  auto end = vals.end();
+  for (std::uint32_t j = upto; j >= 1; --j) {
+    std::uint64_t r = PivotRank(j, vals.size());
+    TOKRA_DCHECK(r >= (std::uint64_t{1} << (j - 1)));
+    auto nth = vals.begin() + static_cast<std::ptrdiff_t>(r - 1);
+    std::nth_element(vals.begin(), nth, end, std::greater<>());
+    emit(j, *nth, r);
+    end = nth;
+  }
+}
+
 /// Value-based logarithmic sketch of one set.
 class LogSketch {
  public:
   LogSketch() = default;
 
-  /// Builds from the set's values in any order. Each pivot j is the value of
-  /// descending rank min(l, floor(3/2 * 2^(j-1))) — the mid-window choice
-  /// the paper uses when repairing pivots, giving maximal drift slack on
-  /// both sides. The pivots are placed top-down, each by nth_element on the
-  /// prefix above the previous one: O(l) expected, and the same values a
-  /// full sort would pick.
+  /// Builds from the set's values in any order: every level of
+  /// ForEachPivot, so pivot j is the value of descending rank
+  /// PivotRank(j, l) — the mid-window choice the paper uses when repairing
+  /// pivots, giving maximal drift slack on both sides.
   static LogSketch Build(std::vector<double> vals) {
     LogSketch s;
     s.set_size_ = vals.size();
-    if (s.set_size_ == 0) return s;
-    std::uint32_t levels = FloorLog2(s.set_size_) + 1;
-    s.pivots_.resize(levels);
-    auto end = vals.end();
-    for (std::uint32_t j = levels; j >= 1; --j) {
-      std::uint64_t lo = std::uint64_t{1} << (j - 1);
-      std::uint64_t r = std::min<std::uint64_t>(s.set_size_, lo + lo / 2);
-      TOKRA_DCHECK(r >= lo);
-      auto nth = vals.begin() + static_cast<std::ptrdiff_t>(r - 1);
-      std::nth_element(vals.begin(), nth, end, std::greater<>());
-      s.pivots_[j - 1] = SketchPivot{*nth, r};
-      end = nth;
-    }
-    return s;
-  }
-
-  /// Reconstructs a sketch from stored pivot values (level j at index j-1).
-  /// Used by structures that persist pivots in blocks; the rank hints are
-  /// nominal mid-window values.
-  static LogSketch FromPivots(std::vector<double> pivot_values,
-                              std::uint64_t set_size) {
-    LogSketch s;
-    s.set_size_ = set_size;
-    TOKRA_CHECK(set_size == 0 ||
-                pivot_values.size() == FloorLog2(set_size) + 1);
-    for (std::uint32_t j = 1; j <= pivot_values.size(); ++j) {
-      std::uint64_t lo = std::uint64_t{1} << (j - 1);
-      s.pivots_.push_back(SketchPivot{pivot_values[j - 1],
-                                      std::min<std::uint64_t>(set_size,
-                                                              lo + lo / 2)});
-    }
+    s.pivots_.resize(vals.empty() ? 0 : FloorLog2(vals.size()) + 1);
+    ForEachPivot(vals, s.levels(),
+                 [&s](std::uint32_t j, double v, std::uint64_t r) {
+                   s.pivots_[j - 1] = SketchPivot{v, r};
+                 });
     return s;
   }
 

@@ -1,7 +1,6 @@
 #include "sketch/select7.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "util/check.h"
 
@@ -19,37 +18,32 @@ namespace tokra::sketch {
 // half the union size — is < k, so |union| < 2k and -infinity (rank =
 // |union| in [k, 2k)) is a valid answer, matching the lemma's proviso that
 // x may be -infinity.
-Select7Result SelectFromSketches(
-    std::span<const LogSketch* const> sketches, std::uint64_t k) {
+//
+// Equal values pop from the heap in any order, but the value returned is a
+// sorted sweep's: the total before a group of equal values depends only on
+// which values are above it, so the total first meets k inside the same
+// group whatever the order within it.
+Select7Result SelectFromSketches(std::vector<SketchEntry> pivots,
+                                 std::uint32_t num_sets, std::uint64_t k) {
   TOKRA_CHECK(k >= 1);
-  struct Cand {
-    double value;
-    std::uint32_t set;
-    std::uint32_t level;
+  auto below = [](const SketchEntry& a, const SketchEntry& b) {
+    return a.value < b.value;
   };
-  std::vector<Cand> cands;
-  for (std::uint32_t i = 0; i < sketches.size(); ++i) {
-    const LogSketch& s = *sketches[i];
-    for (std::uint32_t j = 1; j <= s.levels(); ++j) {
-      cands.push_back(Cand{s.pivot(j).value, i, j});
-    }
-  }
-  std::sort(cands.begin(), cands.end(),
-            [](const Cand& a, const Cand& b) { return a.value > b.value; });
-
-  std::vector<std::uint64_t> lo(sketches.size(), 0);
+  std::make_heap(pivots.begin(), pivots.end(), below);
+  std::vector<std::uint64_t> lo(num_sets, 0);
   std::uint64_t total = 0;  // LO(v), maintained incrementally as v sweeps down
-  for (const Cand& c : cands) {
+  for (auto end = pivots.end(); end != pivots.begin(); --end) {
+    std::pop_heap(pivots.begin(), end, below);
+    const SketchEntry& c = end[-1];
+    TOKRA_DCHECK(c.set < num_sets);
     std::uint64_t contrib = std::uint64_t{1} << (c.level - 1);
     if (contrib > lo[c.set]) {
       total += contrib - lo[c.set];
       lo[c.set] = contrib;
     }
-    if (total >= k) {
-      return Select7Result{false, c.value, c.set, c.level};
-    }
+    if (total >= k) return Select7Result{false, c.value};
   }
-  return Select7Result{true, 0, 0, 0};
+  return Select7Result{true, 0};
 }
 
 }  // namespace tokra::sketch

@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "em/paged_array.h"
-#include "sketch/select7.h"
+#include "sketch/log_sketch.h"
 #include "util/bits.h"
 #include "util/check.h"
 
@@ -305,8 +305,7 @@ void ShengTaoSelector::RepairChildSketch(em::BlockId id, std::uint32_t ci,
   upto = std::min(upto, len);
   em::PagedArray<double> skarr(pager_, nb.b);
   for (std::uint32_t j = 1; j <= upto; ++j) {
-    std::uint64_t lo = std::uint64_t{1} << (j - 1);
-    std::uint64_t target = std::min<std::uint64_t>(cr.count, lo + lo / 2);
+    std::uint64_t target = sketch::PivotRank(j, cr.count);
     // Recursive approximate selection inside the child's slab — the repair
     // whose O(lg_B n) cost, summed over sketch levels and path nodes, yields
     // the baseline's Theta(lg^2_B n) amortized update bound.
@@ -457,41 +456,58 @@ Status ShengTaoSelector::Delete(const Point& p) {
 // --- queries --------------------------------------------------------
 
 void ShengTaoSelector::GatherSketches(em::BlockId id, double x1, double x2,
-                                      RangeSketches* range,
-                                      std::vector<double>* boundary) const {
+                                      RangeSketches* range) const {
   NodeBlocks nb = ReadNode(pager_, id);
   if (nb.leaf) {
     em::PagedArray<Point> arr(pager_, nb.a);
     std::vector<Point> pts;
     arr.ReadRange(0, nb.fill, &pts);
     for (const Point& p : pts) {
-      if (p.x >= x1 && p.x <= x2) boundary->push_back(p.score);
+      if (p.x >= x1 && p.x <= x2) range->boundary_.push_back(p.score);
     }
     return;
   }
-  // One ReadRange per node for its child records and one per covered child
-  // for its pivots: each backing block is pinned once, not once per record.
+  // One ReadRange per node for its child records and one per run of
+  // contiguous covered children for their pivot slots: each backing block
+  // is pinned once per run, not once per child. A run is read before the
+  // walk recurses into the child after it, so blocks are read in child
+  // order.
   em::PagedArray<ChildRec> crarr(pager_, nb.a);
   em::PagedArray<double> skarr(pager_, nb.b);
   std::vector<ChildRec> kids;
   crarr.ReadRange(0, nb.fill, &kids);
+  std::vector<double> slots;
+  std::uint32_t run = nb.fill;  // first child of the open run; nb.fill: none
+  auto read_run = [&](std::uint32_t end) {
+    const std::uint32_t base = run * kJCap;
+    const std::uint32_t last = (end - 1) * kJCap +
+                               static_cast<std::uint32_t>(kids[end - 1].sk_len);
+    skarr.ReadRange(base, last, &slots);
+    for (std::uint32_t c = run; c < end; ++c) {
+      const ChildRec& cr = kids[c];
+      TOKRA_CHECK_EQ(cr.sk_len, JOf(cr.count));
+      for (std::uint32_t j = 1; j <= cr.sk_len; ++j) {
+        range->pivots_.push_back(sketch::SketchEntry{
+            slots[c * kJCap - base + j - 1], range->sets_, j});
+      }
+      ++range->sets_;
+      range->count_ += cr.count;
+    }
+    run = nb.fill;
+  };
   for (std::uint32_t c = 0; c < nb.fill; ++c) {
     const ChildRec& cr = kids[c];
-    if (cr.hi() <= x1 || cr.lo() > x2) continue;  // disjoint
-    if (cr.lo() >= x1 && cr.hi() <= x2) {
-      // Covered: contribute the child's sketch.
-      if (cr.count == 0) continue;
-      std::vector<double> pivots;
-      skarr.ReadRange(c * kJCap,
-                      c * kJCap + static_cast<std::uint32_t>(cr.sk_len),
-                      &pivots);
-      range->sketches_.push_back(
-          sketch::LogSketch::FromPivots(std::move(pivots), cr.count));
-      range->count_ += cr.count;
+    bool inside = cr.lo() >= x1 && cr.hi() <= x2;
+    if (inside && cr.count > 0) {
+      // Covered: the child's stored sketch joins the open run.
+      if (run == nb.fill) run = c;
       continue;
     }
-    GatherSketches(cr.id, x1, x2, range, boundary);
+    if (run != nb.fill) read_run(c);
+    if (inside || cr.hi() <= x1 || cr.lo() > x2) continue;  // empty/disjoint
+    GatherSketches(cr.id, x1, x2, range);
   }
+  if (run != nb.fill) read_run(nb.fill);
 }
 
 bool ShengTaoSelector::Contains(const Point& p) const {
@@ -521,25 +537,34 @@ void ShengTaoSelector::CollectAll(std::vector<Point>* out) const {
 
 RangeSketches ShengTaoSelector::Decompose(double x1, double x2) const {
   RangeSketches range;
-  std::vector<double> boundary;
-  GatherSketches(MetaGet(kMRoot), x1, x2, &range, &boundary);
-  if (!boundary.empty()) {
-    range.count_ += boundary.size();
-    range.sketches_.push_back(sketch::LogSketch::Build(std::move(boundary)));
-  }
+  GatherSketches(MetaGet(kMRoot), x1, x2, &range);
+  range.count_ += range.boundary_.size();
   return range;
 }
 
 StatusOr<double> RangeSketches::Select(std::uint64_t k) const {
   if (k < 1) return Status::InvalidArgument("bad query");
   if (k > count_) return Status::OutOfRange("k exceeds range population");
-  std::vector<const sketch::LogSketch*> ptrs;
-  ptrs.reserve(sketches_.size());
-  for (const auto& s : sketches_) ptrs.push_back(&s);
   // Internal doubling absorbs sketch drift (see header notes); the end-to-end
   // guarantee is rank in [k, kApproxFactor * k).
-  sketch::Select7Result res =
-      sketch::SelectFromSketches(ptrs, std::min<std::uint64_t>(2 * k, count_));
+  const std::uint64_t ask = std::min<std::uint64_t>(2 * k, count_);
+  // The boundary's sketch is built only for the levels the sweep can reach
+  // (select7.h). The covered children's stored pivots were repaired by
+  // approximate selection and need not be monotone, so all of them stay.
+  const std::uint32_t upto =
+      boundary_.empty() ? 0 : sketch::ReachableLevels(boundary_.size(), ask);
+  std::vector<sketch::SketchEntry> pivots;
+  pivots.reserve(pivots_.size() + upto);
+  pivots.assign(pivots_.begin(), pivots_.end());
+  if (upto > 0) {
+    std::vector<double> scores = boundary_;
+    sketch::ForEachPivot(scores, upto,
+                         [&](std::uint32_t j, double v, std::uint64_t) {
+                           pivots.push_back(sketch::SketchEntry{v, sets_, j});
+                         });
+  }
+  sketch::Select7Result res = sketch::SelectFromSketches(
+      std::move(pivots), sets_ + (upto > 0 ? 1 : 0), ask);
   if (res.neg_inf) return -kInf;
   return res.value;
 }

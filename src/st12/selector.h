@@ -14,7 +14,10 @@
 // A query decomposes [x1,x2] into O(lg_B n) canonical children plus two
 // boundary leaves (Decompose: the I/O walk) and runs the Lemma 7 selection
 // over their sketches (RangeSketches::Select: CPU only, so a caller that
-// retries with a larger rank pays the walk once).
+// retries with a larger rank pays the walk once). Select sketches the
+// boundary scores only up to the level its rank can reach and heap-pops the
+// pivots by value, so a low-rank selection — every level-1 or level-2
+// repair — costs little beyond one pass over the boundary scores.
 //
 // Updates descend the path and repair drifted sketch pivots; pivot (j) of a
 // child is recomputed after Theta(2^j) updates below that child, each repair
@@ -35,14 +38,15 @@
 #include <vector>
 
 #include "em/pager.h"
-#include "sketch/log_sketch.h"
+#include "sketch/select7.h"
 #include "util/point.h"
 #include "util/status.h"
 
 namespace tokra::st12 {
 
-/// One range's canonical decomposition, held in memory: the sketch of every
-/// covered child plus one sketch of the boundary leaves' in-range scores.
+/// One range's canonical decomposition, held in memory: the stored pivots
+/// of every covered child, flat (set = the child's ordinal among the
+/// covered children), plus the boundary leaves' in-range scores, unsorted.
 /// Every Select runs on it without touching the pager.
 class RangeSketches {
  public:
@@ -52,12 +56,15 @@ class RangeSketches {
   /// A score value whose descending rank among the scores in S ∩ [x1,x2]
   /// lies in [k, ShengTaoSelector::kApproxFactor * k), or -inf when the
   /// whole range qualifies (rank(-inf) = count < 2k). kOutOfRange when
-  /// k > count. CPU only.
+  /// k > count. CPU only: O(b + P + v log P) for b boundary scores, P
+  /// stored pivots and v pivots the Lemma 7 sweep visits.
   StatusOr<double> Select(std::uint64_t k) const;
 
  private:
   friend class ShengTaoSelector;
-  std::vector<sketch::LogSketch> sketches_;
+  std::vector<sketch::SketchEntry> pivots_;
+  std::uint32_t sets_ = 0;  ///< covered children with a non-empty subtree
+  std::vector<double> boundary_;
   std::uint64_t count_ = 0;
 };
 
@@ -115,8 +122,7 @@ class ShengTaoSelector {
   void FreeNode(em::BlockId id);
   void CollectPoints(em::BlockId id, std::vector<Point>* out) const;
   void GatherSketches(em::BlockId id, double x1, double x2,
-                      RangeSketches* range,
-                      std::vector<double>* boundary) const;
+                      RangeSketches* range) const;
   /// Recomputes pivot levels [1, upto] of child `ci` of node `id`.
   void RepairChildSketch(em::BlockId id, std::uint32_t ci, std::uint32_t upto);
   void CheckNode(em::BlockId id, double lo, double hi,

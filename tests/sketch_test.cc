@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -71,6 +72,18 @@ TEST(LogSketchTest, RankBoundsBracketTrueRank) {
   }
 }
 
+// The pivots of the given sketches as SelectFromSketches' flat input (set i
+// is sketches[i]).
+std::vector<SketchEntry> Flatten(const std::vector<LogSketch>& sketches) {
+  std::vector<SketchEntry> out;
+  for (std::uint32_t i = 0; i < sketches.size(); ++i) {
+    for (std::uint32_t j = 1; j <= sketches[i].levels(); ++j) {
+      out.push_back(SketchEntry{sketches[i].pivot(j).value, i, j});
+    }
+  }
+  return out;
+}
+
 struct Lemma7Case {
   std::size_t m;          // number of sets
   std::size_t avg_size;   // average set size
@@ -94,12 +107,12 @@ TEST_P(Lemma7PropertyTest, RankWithinFactor) {
   std::sort(universe.begin(), universe.end(), std::greater<>());
 
   std::vector<LogSketch> sketches;
-  std::vector<const LogSketch*> ptrs;
   for (auto& s : sets) sketches.push_back(LogSketch::Build(s));
-  for (auto& s : sketches) ptrs.push_back(&s);
+  const std::vector<SketchEntry> pivots = Flatten(sketches);
 
   for (std::uint64_t k = 1; k <= universe.size(); k = k * 2 + 1) {
-    Select7Result res = SelectFromSketches(ptrs, k);
+    Select7Result res =
+        SelectFromSketches(pivots, static_cast<std::uint32_t>(m), k);
     std::uint64_t rank;
     if (res.neg_inf) {
       rank = universe.size();
@@ -128,11 +141,100 @@ INSTANTIATE_TEST_SUITE_P(
           .append(std::to_string(info.param.avg_size));
     });
 
+// Reference for the heap sweep: sort every pivot by descending value, then
+// sweep as Lemma 7 does. Returns the chosen value, or -inf for neg_inf.
+double SortedSweep(std::vector<SketchEntry> pivots, std::uint32_t num_sets,
+                   std::uint64_t k) {
+  std::stable_sort(pivots.begin(), pivots.end(),
+                   [](const SketchEntry& a, const SketchEntry& b) {
+                     return a.value > b.value;
+                   });
+  std::vector<std::uint64_t> lo(num_sets, 0);
+  std::uint64_t total = 0;
+  for (const SketchEntry& c : pivots) {
+    std::uint64_t contrib = std::uint64_t{1} << (c.level - 1);
+    if (contrib > lo[c.set]) {
+      total += contrib - lo[c.set];
+      lo[c.set] = contrib;
+    }
+    if (total >= k) return c.value;
+  }
+  return -std::numeric_limits<double>::infinity();
+}
+
+// The sweep as RangeSketches::Select runs it: m-1 sets give stored pivots,
+// some drifted out of order, tied across sets or -inf, and one set gives
+// raw values whose sketch is built only for ReachableLevels(l, k). For each
+// k the answer must equal the sorted sweep over the fully built sketch, and
+// the truncated build's levels must equal LogSketch::Build's.
+TEST_P(Lemma7PropertyTest, TruncatedHeapSweepIsExact) {
+  auto [m, avg, seed] = GetParam();
+  Rng rng(seed + 100);
+  // Sets in disjoint bands (as in RankWithinFactor), or interleaved.
+  for (bool banded : {true, false}) {
+    std::vector<std::vector<double>> sets(m);
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      std::size_t sz = 1 + rng.Uniform(2 * avg);
+      sets[i] = banded ? rng.DistinctDoubles(sz, i * 1000.0, i * 1000.0 + 999)
+                       : rng.DistinctDoubles(sz, 0, 1);
+      n += sz;
+    }
+    const auto sets_n = static_cast<std::uint32_t>(m);
+    for (std::uint32_t raw : {0u, sets_n - 1}) {
+      std::vector<SketchEntry> stored;
+      for (std::uint32_t i = 0; i < sets_n; ++i) {
+        if (i == raw) continue;
+        LogSketch sk = LogSketch::Build(sets[i]);
+        for (std::uint32_t j = 1; j <= sk.levels(); ++j) {
+          double v = sk.pivot(j).value;
+          switch (rng.Uniform(8)) {
+            case 0:  // drifted: any element of the set
+              v = sets[i][rng.Uniform(sets[i].size())];
+              break;
+            case 1:  // tied with an element of the raw set
+              v = sets[raw][rng.Uniform(sets[raw].size())];
+              break;
+            case 2:
+              v = -std::numeric_limits<double>::infinity();
+              break;
+          }
+          stored.push_back(SketchEntry{v, i, j});
+        }
+      }
+      const std::uint64_t l = sets[raw].size();
+      const LogSketch full = LogSketch::Build(sets[raw]);
+      std::vector<SketchEntry> reference = stored;
+      for (std::uint32_t j = 1; j <= full.levels(); ++j) {
+        reference.push_back(SketchEntry{full.pivot(j).value, raw, j});
+      }
+      // Every k while the truncation can bite (it builds all levels once
+      // k >= l), then geometric steps through the rest of the union.
+      for (std::uint64_t k = 1; k <= n + 1;
+           k = k < 2 * l ? k + 1 : k + k / 4) {
+        const std::uint32_t upto = ReachableLevels(l, k);
+        std::vector<SketchEntry> pivots = stored;
+        std::vector<double> scratch = sets[raw];
+        ForEachPivot(scratch, upto,
+                     [&](std::uint32_t j, double v, std::uint64_t r) {
+                       ASSERT_EQ(v, full.pivot(j).value) << "level " << j;
+                       ASSERT_EQ(r, full.pivot(j).rank_hint) << "level " << j;
+                       pivots.push_back(SketchEntry{v, raw, j});
+                     });
+        ASSERT_EQ(pivots.size(), stored.size() + upto);
+        Select7Result res = SelectFromSketches(std::move(pivots), sets_n, k);
+        double got =
+            res.neg_inf ? -std::numeric_limits<double>::infinity() : res.value;
+        ASSERT_EQ(got, SortedSweep(reference, sets_n, k))
+            << "k=" << k << " raw set " << raw << (banded ? " banded" : "");
+      }
+    }
+  }
+}
+
 TEST(Select7Test, KBeyondUnionGoesNegInf) {
   auto vals = SortedDesc({5.0, 3.0, 1.0});
-  LogSketch s = LogSketch::Build(vals);
-  const LogSketch* p = &s;
-  auto res = SelectFromSketches({&p, 1}, 100);
+  auto res = SelectFromSketches(Flatten({LogSketch::Build(vals)}), 1, 100);
   EXPECT_TRUE(res.neg_inf);
 }
 
