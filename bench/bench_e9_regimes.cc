@@ -33,8 +33,11 @@ int main() {
            U(ios), U(stats.threshold_retries)});
     }
   }
-  std::printf("\nShape check: k >= B lg n flips to pilot-direct; small B "
-              "(lg n > B^(1/6)) selects the Lemma 4 component, large B the "
-              "ST12 component; retries stay 0 almost always.\n");
+  std::printf("\nShape check: k >= B lg n flips to pilot-direct; below it "
+              "every B here takes the ST12 component, because kAuto selects "
+              "Lemma 4 only when lg n > c B^(1/6) (c = %.1f, measured by "
+              "E2's warm-pool leg) and lg n = 16; retries stay at most 1, "
+              "the first ask being k/4 (DESIGN.md §1).\n",
+              core::TopkIndex::kLemma4Crossover);
   return 0;
 }

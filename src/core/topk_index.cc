@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <optional>
-#include <set>
 
 #include "util/bits.h"
 #include "util/check.h"
@@ -25,29 +24,45 @@ constexpr std::size_t kWSelectorOption = 4;  // configured Options::Selector
 constexpr std::size_t kWLemma4Fanout = 5;
 constexpr std::size_t kWLemma4L = 6;
 constexpr std::size_t kWLemma4LeafCap = 7;
+
+// True iff `vals` holds a repeated value; sorts it.
+bool HasDuplicate(std::vector<double>* vals) {
+  std::sort(vals->begin(), vals->end());
+  return std::adjacent_find(vals->begin(), vals->end()) != vals->end();
+}
+
 }  // namespace
+
+bool TopkIndex::AutoUsesLemma4(std::uint64_t n, std::uint32_t block_words) {
+  // Section 1.2 regime rule: the ST12 component already achieves
+  // logarithmic updates when lg n <= B^(1/6); otherwise (B < lg^6 n) the
+  // Lemma 4 structure takes over for the small-k thresholds. The rule has
+  // no constant; this implementation's is measured. Lemma 4 needs B >= 64.
+  const double b16 = std::pow(static_cast<double>(block_words), 1.0 / 6.0);
+  return block_words >= 64 &&
+         static_cast<double>(Lg(std::max<std::uint64_t>(n, 2))) >
+             kLemma4Crossover * b16;
+}
 
 StatusOr<std::unique_ptr<TopkIndex>> TopkIndex::Build(
     em::Pager* pager, std::vector<Point> points, Options options) {
-  // Enforce the distinctness assumption up front.
+  // Enforce the distinctness assumption up front; an x duplicate is
+  // reported ahead of a score duplicate.
   {
-    std::set<double> xs, ss;
-    for (const Point& p : points) {
-      if (!xs.insert(p.x).second) {
-        return Status::InvalidArgument("duplicate x coordinate");
-      }
-      if (!ss.insert(p.score).second) {
-        return Status::InvalidArgument("duplicate score");
-      }
+    std::vector<double> vals(points.size());
+    std::transform(points.begin(), points.end(), vals.begin(),
+                   [](const Point& p) { return p.x; });
+    if (HasDuplicate(&vals)) {
+      return Status::InvalidArgument("duplicate x coordinate");
+    }
+    std::transform(points.begin(), points.end(), vals.begin(),
+                   [](const Point& p) { return p.score; });
+    if (HasDuplicate(&vals)) {
+      return Status::InvalidArgument("duplicate score");
     }
   }
   auto idx = std::unique_ptr<TopkIndex>(new TopkIndex(pager, options));
 
-  // Section 1.2 regime rule: the ST12 component already achieves
-  // logarithmic updates when lg n <= B^(1/6); otherwise (B < lg^6 n) the
-  // Lemma 4 structure takes over for the small-k thresholds.
-  std::uint64_t n = std::max<std::uint64_t>(points.size(), 2);
-  double b16 = std::pow(static_cast<double>(pager->B()), 1.0 / 6.0);
   switch (options.selector) {
     case Options::Selector::kSt12:
       idx->use_lemma4_ = false;
@@ -56,7 +71,7 @@ StatusOr<std::unique_ptr<TopkIndex>> TopkIndex::Build(
       idx->use_lemma4_ = true;
       break;
     case Options::Selector::kAuto:
-      idx->use_lemma4_ = static_cast<double>(Lg(n)) > b16;
+      idx->use_lemma4_ = AutoUsesLemma4(points.size(), pager->B());
       break;
   }
 

@@ -15,6 +15,8 @@
 //                               (its update cost is O(lg_B n) in this regime);
 //   * k <  B lg n, B < lg^6 n -> the Lemma 4 structure provides the
 //                               threshold (k < B lg n < lg^7 n = polylg n);
+//   kAuto draws the line between the two at lg n = c B^(1/6), with a
+//   measured constant c (AutoUsesLemma4);
 //   then 3-sided reporting above the threshold + an O(k'/B) selection.
 //
 // TopkIndex maintains all components under one update path and exposes the
@@ -57,7 +59,8 @@ struct TopkQueryStats {
 class TopkIndex {
  public:
   struct Options {
-    /// Force a selector for benches; kAuto applies the Section 1.2 rule.
+    /// Force a selector for benches; kAuto applies the Section 1.2 rule
+    /// with its measured constant (AutoUsesLemma4).
     enum class Selector { kAuto, kSt12, kLemma4 } selector = Selector::kAuto;
     /// Parameters forwarded to the Lemma 4 structure (0 = derive).
     lemma4::Lemma4Selector::Params lemma4_params;
@@ -71,6 +74,17 @@ class TopkIndex {
       em::Pager* pager, std::vector<Point> points) {
     return Build(pager, std::move(points), Options());
   }
+
+  /// The constant c of the kAuto rule below, measured by E2's warm-pool
+  /// leg (DESIGN.md §3): under a warm pool Lemma 4's updates cost fewer
+  /// I/Os than ST12's only once lg n exceeds about c * B^(1/6).
+  static constexpr double kLemma4Crossover = 9.0;
+
+  /// kAuto's choice for an index built over n points with B-word blocks:
+  /// the Section 1.2 rule with a measured constant, Lemma 4 exactly when
+  /// lg n > kLemma4Crossover * B^(1/6) and B >= 64 (Lemma 4's minimum
+  /// block), ST12 otherwise.
+  static bool AutoUsesLemma4(std::uint64_t n, std::uint32_t block_words);
 
   /// Reopens the index recorded by the last Checkpoint() on `pager` (which
   /// must come from em::Pager::Open): no rebuild, O(1) I/Os.

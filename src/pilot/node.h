@@ -31,9 +31,12 @@ struct TRef {
   bool operator==(const TRef& o) const { return base == o.base && idx == o.idx; }
 };
 
-/// Number of blocks reserved per pilot set: capacity 2B points of 2 words
-/// each. Push-downs carry displaced points through the cascade in scratch
-/// memory, so a pilot set never materializes above 2B points.
+/// Pilot block slots per record: the capacity of a set of 2B points of 2
+/// words each. Push-downs carry displaced points through the cascade in
+/// scratch memory, so a pilot set never materializes above 2B points. This
+/// is a cap, not a reservation: a set of c points holds exactly
+/// PagedArray<Point>::BlocksFor(B, c) blocks in slots [0, that), and every
+/// other slot is em::kNullBlock (an empty set holds none).
 inline constexpr std::uint32_t kPilotBlocks = 4;
 
 /// One node of a secondary tree T(u). All fields are single words so the
@@ -47,7 +50,8 @@ struct TNodeRec {
   std::uint64_t rep_bits = 0;                    ///< bit-cast score of the rep
   std::uint64_t lo_x_bits = 0;                   ///< slab [lo_x, hi_x)
   std::uint64_t hi_x_bits = 0;
-  std::uint64_t pilot_blocks[kPilotBlocks] = {};
+  std::uint64_t pilot_blocks[kPilotBlocks] = {em::kNullBlock, em::kNullBlock,
+                                             em::kNullBlock, em::kNullBlock};
   std::uint64_t ins_tokens = 0;  ///< Lemma 3 accounting (TOKRA_PARANOID)
   std::uint64_t del_tokens = 0;
   std::uint64_t max_bits = 0;  ///< bit-cast max pilot score (3-sided pruning)

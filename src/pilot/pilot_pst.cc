@@ -76,11 +76,13 @@ void PilotPst::StoreTNode(const TRef& t, const TNodeRec& rec) {
 }
 
 std::vector<Point> PilotPst::PilotRead(const TNodeRec& rec) const {
-  std::vector<em::BlockId> blocks(rec.pilot_blocks,
-                                  rec.pilot_blocks + kPilotBlocks);
-  em::PagedArray<Point> arr(pager_, blocks);
+  const auto count = static_cast<std::uint32_t>(rec.pilot_count);
+  em::PagedArray<Point> arr(
+      pager_, std::span<const em::BlockId>(
+                  rec.pilot_blocks,
+                  em::PagedArray<Point>::BlocksFor(B(), count)));
   std::vector<Point> pts;
-  arr.ReadRange(0, static_cast<std::uint32_t>(rec.pilot_count), &pts);
+  arr.ReadRange(0, count, &pts);
   return pts;
 }
 
@@ -102,9 +104,25 @@ void PilotPst::PrefetchPilots(
 void PilotPst::PilotWrite(const TRef& t, TNodeRec* rec,
                           const std::vector<Point>& pts) {
   TOKRA_CHECK(pts.size() <= PilotMax());
-  std::vector<em::BlockId> blocks(rec->pilot_blocks,
-                                  rec->pilot_blocks + kPilotBlocks);
-  em::PagedArray<Point> arr(pager_, blocks);
+  // The set holds exactly the blocks its points fill: a grown set gets
+  // fresh zeroed blocks, a shrunk one frees its tail (a CowFree under MVCC).
+  // Slots are scanned rather than derived from the old count, so a set of
+  // the older layout, with all kPilotBlocks slots allocated, gives its
+  // extra blocks back here.
+  const std::uint32_t need = em::PagedArray<Point>::BlocksFor(
+      B(), static_cast<std::uint32_t>(pts.size()));
+  for (std::uint32_t i = 0; i < kPilotBlocks; ++i) {
+    em::BlockId& slot = rec->pilot_blocks[i];
+    if (i < need && slot == em::kNullBlock) {
+      slot = pager_->Allocate();
+      em::PageRef zero = pager_->Create(slot);
+    } else if (i >= need && slot != em::kNullBlock) {
+      pager_->Free(slot);
+      slot = em::kNullBlock;
+    }
+  }
+  em::PagedArray<Point> arr(
+      pager_, std::span<const em::BlockId>(rec->pilot_blocks, need));
   if (!pts.empty()) arr.WriteRange(0, pts);
   rec->pilot_count = pts.size();
   double rep = kInf, pmax = -kInf;

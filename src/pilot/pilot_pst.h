@@ -149,6 +149,10 @@ class PilotPst {
   /// Distributes points (sorted by score desc) into pilots from `t` down.
   void FillPilots(const TRef& t, std::vector<Point> by_score);
   void FreeSubtree(em::BlockId base);
+  /// Frees everything of base node `base` and below except its header
+  /// block: x blocks of a leaf; T-array, pilot blocks and child subtrees of
+  /// an internal node.
+  void FreeBelowHeader(em::BlockId base);
   /// Collects all live points in the T-subtree rooted at `t`.
   void CollectPilots(const TRef& t, std::vector<Point>* out) const;
 

@@ -116,13 +116,8 @@ em::BlockId PilotPst::NewInternal(em::BlockId parent,
   };
   TIndex root = build(build, 0, f);
   TOKRA_CHECK(next == 2 * f - 1);
-  // Pilot block allocation for every T-node.
-  for (TNodeRec& r : recs) {
-    for (std::uint32_t i = 0; i < kPilotBlocks; ++i) {
-      r.pilot_blocks[i] = pager_->Allocate();
-      em::PageRef zero = pager_->Create(r.pilot_blocks[i]);
-    }
-  }
+  // Every pilot set starts empty and so holds no blocks; PilotWrite
+  // allocates them as points arrive.
   {
     em::PageRef h = pager_->Fetch(id);
     h.Set(kHIntRoot, root);
@@ -216,6 +211,11 @@ void PilotPst::CollectPilots(const TRef& t, std::vector<Point>* out) const {
 }
 
 void PilotPst::FreeSubtree(em::BlockId base) {
+  FreeBelowHeader(base);
+  pager_->Free(base);
+}
+
+void PilotPst::FreeBelowHeader(em::BlockId base) {
   em::PageRef h = pager_->Fetch(base);
   if (h.Get(kHKind) == 1) {
     std::uint32_t nx = static_cast<std::uint32_t>(h.Get(kHLeafNX));
@@ -223,31 +223,19 @@ void PilotPst::FreeSubtree(em::BlockId base) {
     for (std::uint32_t i = 0; i < nx; ++i) xb[i] = h.Get(kHLeafXIds + i);
     h = em::PageRef();
     for (em::BlockId b : xb) pager_->Free(b);
-    pager_->Free(base);
     return;
   }
   std::uint32_t ntb = static_cast<std::uint32_t>(h.Get(kHIntNTB));
   std::vector<em::BlockId> tb(ntb);
   for (std::uint32_t i = 0; i < ntb; ++i) tb[i] = h.Get(kHIntTIds + i);
   h = em::PageRef();
-  std::vector<TNodeRec> recs;
-  {
-    em::PagedArray<TNodeRec> arr(pager_, tb);
-    std::uint32_t n = 0;
-    {
-      em::PageRef hh = pager_->Fetch(base);
-      n = static_cast<std::uint32_t>(hh.Get(kHIntNT));
-    }
-    arr.ReadRange(0, n, &recs);
-  }
-  for (const TNodeRec& r : recs) {
-    for (std::uint32_t i = 0; i < kPilotBlocks; ++i) {
-      pager_->Free(r.pilot_blocks[i]);
+  for (const TNodeRec& r : LoadTNodes(base)) {
+    for (em::BlockId b : r.pilot_blocks) {
+      if (b != em::kNullBlock) pager_->Free(b);
     }
     if (r.is_slab()) FreeSubtree(r.base_child);
   }
   for (em::BlockId b : tb) pager_->Free(b);
-  pager_->Free(base);
 }
 
 // --- public construction ----------------------------------------------
@@ -331,23 +319,14 @@ void PilotPst::Rebalance(const std::vector<em::BlockId>& path) {
 
 void PilotPst::RebuildSubtree(em::BlockId base) {
   std::uint64_t level, parent, parent_slab;
-  std::uint32_t f;
-  std::vector<em::BlockId> tb;
+  // Slab bounds of the subtree (from the root T-node record).
+  TRef root_t{base, 0};
   {
     em::PageRef h = pager_->Fetch(base);
     TOKRA_CHECK(h.Get(kHKind) == 0);
     level = h.Get(kHLevel);
     parent = h.Get(kHParent);
     parent_slab = h.Get(kHParentSlab);
-    f = static_cast<std::uint32_t>(h.Get(kHIntF));
-    std::uint32_t ntb = static_cast<std::uint32_t>(h.Get(kHIntNTB));
-    tb.resize(ntb);
-    for (std::uint32_t i = 0; i < ntb; ++i) tb[i] = h.Get(kHIntTIds + i);
-  }
-  // Slab bounds of the subtree (from the root T-node record).
-  TRef root_t{base, 0};
-  {
-    em::PageRef h = pager_->Fetch(base);
     root_t.idx = static_cast<TIndex>(h.Get(kHIntRoot));
   }
   TNodeRec root_rec = LoadTNode(root_t);
@@ -392,24 +371,7 @@ void PilotPst::RebuildSubtree(em::BlockId base) {
 
   // Free the old subtree (children subtrees + this node's T machinery), but
   // keep `base`'s header block so the parent's slab pointer stays valid.
-  {
-    std::vector<TNodeRec> recs;
-    em::PagedArray<TNodeRec> arr(pager_, tb);
-    std::uint32_t nt;
-    {
-      em::PageRef h = pager_->Fetch(base);
-      nt = static_cast<std::uint32_t>(h.Get(kHIntNT));
-    }
-    arr.ReadRange(0, nt, &recs);
-    for (const TNodeRec& r : recs) {
-      for (std::uint32_t i = 0; i < kPilotBlocks; ++i) {
-        pager_->Free(r.pilot_blocks[i]);
-      }
-      if (r.is_slab()) FreeSubtree(r.base_child);
-    }
-    for (em::BlockId bl : tb) pager_->Free(bl);
-  }
-  (void)f;
+  FreeBelowHeader(base);
 
   // Rebuild: fresh children over the x keys, a fresh T(u), refilled pilots.
   std::sort(xs.begin(), xs.end(), ByXAsc{});
@@ -543,6 +505,12 @@ void PilotPst::CheckT(const TRef& t, double bound, double lo, double hi,
                       std::uint64_t* live) const {
   TNodeRec rec = LoadTNode(t);
   TOKRA_CHECK(rec.lo_x() >= lo && rec.hi_x() <= hi);
+  // The set holds exactly the blocks its points fill.
+  const std::uint32_t nb = em::PagedArray<Point>::BlocksFor(
+      B(), static_cast<std::uint32_t>(rec.pilot_count));
+  for (std::uint32_t i = 0; i < kPilotBlocks; ++i) {
+    TOKRA_CHECK_EQ(rec.pilot_blocks[i] != em::kNullBlock, i < nb);
+  }
   std::vector<Point> pts = PilotRead(rec);
   TOKRA_CHECK_EQ(pts.size(), rec.pilot_count);
   TOKRA_CHECK(pts.size() <= PilotMax());

@@ -18,11 +18,12 @@
 //     the durable append and its acknowledgement) and are allowed either
 //     way — the standard at-least-once ambiguity on failure.
 //
-// The final line `TORTURE SUMMARY: fault_points=N aborts=0
-// acknowledged_lost=0 errored_deletes_applied=M` is grepped by CI for its
-// `acknowledged_lost=0`. M counts the errored deletes whose log record
-// still reached the file and was replayed, so the ambiguity the contract
-// allows stays visible.
+// The sweep runs once per threshold selector: kAuto, which picks ST12 at
+// this size, and Lemma 4 forced. Each prints a final line `TORTURE SUMMARY:
+// fault_points=N aborts=0 acknowledged_lost=0 errored_deletes_applied=M
+// selector=S`, grepped by CI for its `acknowledged_lost=0`. M counts the
+// errored deletes whose log record still reached the file and was
+// replayed, so the ambiguity the contract allows stays visible.
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -39,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "core/topk_index.h"
 #include "em/fault_device.h"
 #include "em/file_block_device.h"
 #include "em/pager.h"
@@ -271,8 +273,12 @@ std::vector<Point> SeedPoints(std::size_t n) {
   return pts;
 }
 
-engine::EngineOptions TortureOptions(const std::string& dir) {
+using Selector = core::TopkIndex::Options::Selector;
+
+engine::EngineOptions TortureOptions(const std::string& dir,
+                                     Selector selector = Selector::kAuto) {
   engine::EngineOptions opts;
+  opts.index.selector = selector;
   opts.num_shards = 3;
   opts.threads = 1;  // single worker: deterministic I/O-site ordering
   opts.telemetry.enabled = false;
@@ -361,11 +367,11 @@ std::uint32_t HealthyShards(const engine::ShardedTopkEngine& eng,
 /// into a clean engine, and verifies the oracle. Returns the number of
 /// acknowledged updates lost (0 on a healthy implementation) and adds to
 /// `*errored_deletes_applied` the committed points a failed delete removed.
-std::uint64_t TortureRun(const std::string& tag, em::FaultInjector* inj,
-                         bool expect_fired,
+std::uint64_t TortureRun(const std::string& tag, Selector selector,
+                         em::FaultInjector* inj, bool expect_fired,
                          std::uint64_t* errored_deletes_applied) {
   TempDir dir(tag);
-  engine::EngineOptions opts = TortureOptions(dir.path());
+  engine::EngineOptions opts = TortureOptions(dir.path(), selector);
   opts.em.fault = inj;
   const auto seed = SeedPoints(kSeedN);
   Oracle oracle;
@@ -397,7 +403,7 @@ std::uint64_t TortureRun(const std::string& tag, em::FaultInjector* inj,
 
   // Recover in a clean configuration (no injector): the medium must hold a
   // consistent checkpoint + log regardless of where the fault landed.
-  engine::EngineOptions clean = TortureOptions(dir.path());
+  engine::EngineOptions clean = TortureOptions(dir.path(), selector);
   engine::RecoveryReport report;
   auto rec = engine::ShardedTopkEngine::Recover(clean, &report);
   EXPECT_TRUE(rec.ok()) << rec.status().ToString();
@@ -460,12 +466,12 @@ std::vector<std::uint64_t> SampleIndices(std::uint64_t count,
   return idx;
 }
 
-TEST(FaultTortureTest, SweepEveryIoSite) {
+void SweepEveryIoSite(Selector selector, const std::string& name) {
   // Discovery pass: count the workload's I/O sites per category.
   em::FaultInjector discover;
   std::uint64_t errored_deletes_applied = 0;
-  ASSERT_EQ(TortureRun("discover", &discover, /*expect_fired=*/false,
-                       &errored_deletes_applied),
+  ASSERT_EQ(TortureRun(name + "-discover", selector, &discover,
+                       /*expect_fired=*/false, &errored_deletes_applied),
             0u);
   const em::FaultInjector::OpCounts sites = discover.ops_seen();
   ASSERT_GT(sites.reads, 0u);
@@ -495,8 +501,9 @@ TEST(FaultTortureTest, SweepEveryIoSite) {
       inj.Arm(sc.kind, at, /*seed=*/at * 2 + 1);
       ++fault_points;
       acknowledged_lost +=
-          TortureRun(std::string(sc.name) + "-" + std::to_string(at), &inj,
-                     /*expect_fired=*/true, &errored_deletes_applied);
+          TortureRun(name + "-" + sc.name + "-" + std::to_string(at),
+                     selector, &inj, /*expect_fired=*/true,
+                     &errored_deletes_applied);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
@@ -504,11 +511,23 @@ TEST(FaultTortureTest, SweepEveryIoSite) {
   EXPECT_EQ(acknowledged_lost, 0u);
   // CI greps this line; reaching it at all proves aborts=0.
   std::printf("TORTURE SUMMARY: fault_points=%llu aborts=0 "
-              "acknowledged_lost=%llu errored_deletes_applied=%llu\n",
+              "acknowledged_lost=%llu errored_deletes_applied=%llu "
+              "selector=%s\n",
               static_cast<unsigned long long>(fault_points),
               static_cast<unsigned long long>(acknowledged_lost),
-              static_cast<unsigned long long>(errored_deletes_applied));
+              static_cast<unsigned long long>(errored_deletes_applied),
+              name.c_str());
   std::fflush(stdout);
+}
+
+TEST(FaultTortureTest, SweepEveryIoSite) {
+  SweepEveryIoSite(Selector::kAuto, "auto");
+}
+
+// kAuto runs ST12 at every size this harness builds; the sweep over the
+// Lemma 4 selector keeps its I/O error paths proven too.
+TEST(FaultTortureTest, SweepEveryIoSiteLemma4) {
+  SweepEveryIoSite(Selector::kLemma4, "lemma4");
 }
 
 // ---------------------------------------------------------------------------

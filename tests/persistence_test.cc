@@ -312,6 +312,40 @@ TEST(TopkIndexPersistenceTest, CheckpointReopenAnswersIdentically) {
   (*idx2)->CheckInvariants();
 }
 
+// kAuto's choice is made once, at Build, and persisted: an index whose
+// size put it on the Lemma 4 side of the rule reopens as Lemma 4, whatever
+// the rule would say at its current size.
+TEST(TopkIndexPersistenceTest, AutoSelectedLemma4SurvivesReopen) {
+  TempDir dir("auto-lemma4");
+  // B = 64, the smallest block Lemma 4 supports, puts the crossover
+  // lowest: Lemma 4 from n = 2^18 + 1 on.
+  em::EmOptions opts{.block_words = 64,
+                     .pool_frames = 64,
+                     .backend = em::Backend::kFile,
+                     .path = dir.File("index.blk")};
+  const std::size_t n = (std::size_t{1} << 18) + 1;
+  ASSERT_TRUE(core::TopkIndex::AutoUsesLemma4(n, opts.block_words));
+  Rng rng(12);
+  auto points = MakePoints(&rng, n);
+  {
+    em::Pager pager(opts);
+    auto built = core::TopkIndex::Build(&pager, points);
+    ASSERT_TRUE(built.ok());
+    EXPECT_EQ((*built)->SelectorKind(), core::QueryPath::kLemma4Threshold);
+    ASSERT_TRUE((*built)->Checkpoint().ok());
+  }
+  auto reopened = em::Pager::Open(opts);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto opened = core::TopkIndex::Open(reopened->get());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ((*opened)->SelectorKind(), core::QueryPath::kLemma4Threshold);
+  core::TopkQueryStats stats;
+  auto got = (*opened)->TopK(1e5, 2e5, 8, &stats);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(stats.path, core::QueryPath::kLemma4Threshold);
+  EXPECT_EQ(*got, internal::NaiveTopK(points, 1e5, 2e5, 8));
+}
+
 // Mem and file backends must report identical I/O counters for the same
 // deterministic workload: the counting layer is backend-independent.
 TEST(BackendParityTest, IdenticalIoCountsAcrossBackends) {

@@ -95,6 +95,34 @@ TEST(PilotPstTest, DestroyReleasesAllBlocks) {
   auto pts = RandomPoints(&rng, 500);
   PilotPst pst = PilotPst::Build(&pager, pts);
   EXPECT_GT(pager.BlocksInUse(), base);
+
+  // Churn before the destroy: pilot sets grow and shrink, so PilotWrite
+  // allocates and frees blocks along the way. Inserts push points down,
+  // deleting most of the keys pulls points up and fires a global rebuild.
+  // CheckInvariants sees a shrunk set that kept its blocks; the destroy
+  // below sees one that dropped them without freeing them.
+  auto fresh = RandomPoints(&rng, 700, 999.5);
+  std::vector<Point> live = pts;
+  for (const Point& p : fresh) {
+    ASSERT_TRUE(pst.Insert(p).ok());
+    live.push_back(p);
+  }
+  pst.CheckInvariants();
+  const std::uint64_t grown = pager.BlocksInUse();
+  while (live.size() > 150) {
+    std::size_t pick = rng.Uniform(live.size());
+    ASSERT_TRUE(pst.Delete(live[pick]).ok());
+    live.erase(live.begin() + pick);
+    if (live.size() % 128 == 0) pst.CheckInvariants();
+  }
+  pst.CheckInvariants();
+  EXPECT_EQ(pst.size(), live.size());
+  // 1200 keys, 150 left: global rebuilds (keys >= 2 * live) fired, and
+  // the structure holds far fewer blocks than at its peak.
+  EXPECT_LT(pager.BlocksInUse(), grown / 2);
+  ExpectTopKEqual(*pst.TopK(-1e9, 1e9, 20),
+                  internal::NaiveTopK(live, -1e9, 1e9, 20));
+
   pst.DestroyAll();
   EXPECT_EQ(pager.BlocksInUse(), base);
 }

@@ -35,10 +35,53 @@ void ExpectTopKEqual(const std::vector<Point>& got,
   }
 }
 
-TEST(TopkIndexTest, RejectsDuplicates) {
+TEST(TopkIndexTest, BuildRejectsDuplicates) {
   em::Pager pager(Opts());
-  EXPECT_FALSE(TopkIndex::Build(&pager, {{1, 0.5}, {1, 0.7}}).ok());
-  EXPECT_FALSE(TopkIndex::Build(&pager, {{1, 0.5}, {2, 0.5}}).ok());
+  const std::uint64_t base = pager.BlocksInUse();
+  auto expect_rejected = [&](std::vector<Point> pts, const char* message) {
+    auto built = TopkIndex::Build(&pager, std::move(pts));
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(built.status().message(), message);
+  };
+  expect_rejected({{1, 0.5}, {1, 0.7}}, "duplicate x coordinate");
+  expect_rejected({{1, 0.5}, {2, 0.5}}, "duplicate score");
+  // Non-adjacent duplicates in unsorted input are found too.
+  expect_rejected({{3, 0.1}, {1, 0.2}, {2, 0.3}, {1, 0.4}},
+                  "duplicate x coordinate");
+  expect_rejected({{3, 0.4}, {1, 0.2}, {2, 0.3}, {4, 0.4}},
+                  "duplicate score");
+  // Both kinds at once: the x duplicate is reported.
+  expect_rejected({{1, 0.5}, {2, 0.5}, {1, 0.7}}, "duplicate x coordinate");
+  // A rejected build allocates nothing.
+  EXPECT_EQ(pager.BlocksInUse(), base);
+}
+
+// kAuto picks Lemma 4 only past lg n > c * B^(1/6), c measured by E2's
+// warm-pool leg: at B = 64 Lemma 4 updates more cheaply at n = 2^20 but not
+// at 2^18, and at B = 256 ST12 wins at every n up to 2^20 (DESIGN.md §3
+// has the table and the criterion that fixes c).
+TEST(TopkIndexTest, AutoRuleCrossover) {
+  constexpr std::uint64_t kM = std::uint64_t{1} << 20;
+  for (std::uint64_t n : {std::uint64_t{0}, std::uint64_t{2},
+                          std::uint64_t{1} << 16, std::uint64_t{1} << 18}) {
+    EXPECT_FALSE(TopkIndex::AutoUsesLemma4(n, 64)) << n;
+  }
+  EXPECT_TRUE(TopkIndex::AutoUsesLemma4((std::uint64_t{1} << 18) + 1, 64));
+  EXPECT_TRUE(TopkIndex::AutoUsesLemma4(kM, 64));
+  EXPECT_FALSE(TopkIndex::AutoUsesLemma4(kM, 128));
+  EXPECT_TRUE(TopkIndex::AutoUsesLemma4(kM + 1, 128));
+  EXPECT_FALSE(TopkIndex::AutoUsesLemma4(kM, 256));
+  EXPECT_FALSE(TopkIndex::AutoUsesLemma4(4 * kM, 256));
+  EXPECT_TRUE(TopkIndex::AutoUsesLemma4(4 * kM + 1, 256));
+  // Lemma 4 needs B >= 64, so a smaller block always runs ST12.
+  EXPECT_FALSE(TopkIndex::AutoUsesLemma4(kM * kM, 32));
+  // Build applies the same rule.
+  em::Pager pager(Opts(256));
+  Rng rng(3);
+  auto idx = TopkIndex::Build(&pager, RandomPoints(&rng, 5000));
+  ASSERT_TRUE(idx.ok());
+  EXPECT_EQ((*idx)->SelectorKind(), QueryPath::kSt12Threshold);
 }
 
 TEST(TopkIndexTest, EmptyIndex) {
