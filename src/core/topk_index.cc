@@ -13,8 +13,9 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Meta block layout. Words 4-7 persist the full build-time Options so an
-// Open()ed index carries the exact configuration it was built with (the
-// superblock floor guarantees >= em::kSuperblockHeaderWords = 14 words).
+// Open()ed index carries the exact configuration it was built with; word 8
+// is TopkIndex::kPilotLayoutWord (the superblock floor guarantees
+// >= em::kSuperblockHeaderWords = 14 words).
 constexpr em::word_t kMetaMagic = 0x544F4B52544F504BULL;  // "TOKRTOPK"
 constexpr std::size_t kWMagic = 0;
 constexpr std::size_t kWUseLemma4 = 1;
@@ -101,6 +102,7 @@ void TopkIndex::WriteMeta() {
   mp.Set(kWLemma4Fanout, options_.lemma4_params.fanout);
   mp.Set(kWLemma4L, options_.lemma4_params.l);
   mp.Set(kWLemma4LeafCap, options_.lemma4_params.leaf_cap);
+  mp.Set(kPilotLayoutWord, kPilotLayoutXOrdered);
 }
 
 Status TopkIndex::Checkpoint(std::span<const std::uint64_t> extra_roots) {
@@ -127,6 +129,12 @@ StatusOr<std::unique_ptr<TopkIndex>> TopkIndex::Open(em::Pager* pager) {
     em::PageRef mp = pager->Fetch(meta);
     if (mp.Get(kWMagic) != kMetaMagic) {
       return Status::FailedPrecondition("bad TopkIndex meta block");
+    }
+    // Scans binary-search every pilot set by x; an unordered set would
+    // answer wrongly, so an older file fails here instead.
+    if (mp.Get(kPilotLayoutWord) != kPilotLayoutXOrdered) {
+      return Status::FailedPrecondition(
+          "pilot sets of an older layout: rebuild the index");
     }
     idx->use_lemma4_ = mp.Get(kWUseLemma4) != 0;
     pilot_meta = mp.Get(kWPilotMeta);

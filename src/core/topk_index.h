@@ -86,8 +86,16 @@ class TopkIndex {
   /// block), ST12 otherwise.
   static bool AutoUsesLemma4(std::uint64_t n, std::uint32_t block_words);
 
+  /// The meta-block word naming the pilot sets' on-disk layout, and the
+  /// value Build writes there: every set stored in increasing x. A file
+  /// without it (value 0, unordered sets) is not migrated.
+  static constexpr std::size_t kPilotLayoutWord = 8;
+  static constexpr std::uint64_t kPilotLayoutXOrdered = 1;
+
   /// Reopens the index recorded by the last Checkpoint() on `pager` (which
   /// must come from em::Pager::Open): no rebuild, O(1) I/Os.
+  /// FailedPrecondition if the meta block is not a TopkIndex's or names
+  /// another pilot layout.
   static StatusOr<std::unique_ptr<TopkIndex>> Open(em::Pager* pager);
 
   /// Persists the index through the pager's superblock: flushes every dirty

@@ -1,6 +1,8 @@
 #include "pilot/pilot_pst.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <limits>
 
 #include "em/paged_array.h"
@@ -86,14 +88,45 @@ std::vector<Point> PilotPst::PilotRead(const TNodeRec& rec) const {
   return pts;
 }
 
+void PilotPst::PilotScan(const TNodeRec& rec, double x1, double x2, double y,
+                         std::vector<Point>* out) const {
+  const auto count = static_cast<std::uint32_t>(rec.pilot_count);
+  const std::uint32_t per = em::PagedArray<Point>::ElemsPerBlock(B());
+  for (std::uint32_t b = 0, first = 0; first < count; ++b, first += per) {
+    const std::uint32_t n = std::min(per, count - first);
+    em::PageRef page = pager_->Fetch(rec.pilot_blocks[b]);
+    const std::span<const em::word_t> w = page.words();
+    auto x_at = [&](std::uint32_t i) {
+      return std::bit_cast<double>(w[2 * i]);
+    };
+    if (x_at(n - 1) < x1) continue;  // the whole block lies left of x1
+    std::uint32_t i = 0, hi = n;  // lower_bound of x1 in the block
+    while (i < hi) {
+      const std::uint32_t mid = (i + hi) / 2;
+      if (x_at(mid) < x1) {
+        i = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    for (; i < n; ++i) {
+      const double x = x_at(i);
+      if (x > x2) return;  // so no later block is pinned
+      const double score = std::bit_cast<double>(w[2 * i + 1]);
+      if (score >= y) out->push_back(Point{x, score});
+    }
+  }
+}
+
 void PilotPst::PrefetchPilots(
     std::span<const std::pair<TRef, TNodeRec>> recs) const {
   std::vector<em::BlockId> ids;
   ids.reserve(recs.size());
   for (const auto& [t, rec] : recs) {
     if (rec.pilot_count == 0) continue;
-    // Only the blocks PilotRead will touch: prefetch must batch the reads
-    // that happen anyway, never add transfers.
+    // Only the occupied blocks, all of which a whole-set read touches:
+    // prefetch must batch the reads that happen anyway, never add
+    // transfers.
     std::uint32_t nb = em::PagedArray<Point>::BlocksFor(
         B(), static_cast<std::uint32_t>(rec.pilot_count));
     for (std::uint32_t i = 0; i < nb; ++i) ids.push_back(rec.pilot_blocks[i]);
@@ -104,11 +137,12 @@ void PilotPst::PrefetchPilots(
 void PilotPst::PilotWrite(const TRef& t, TNodeRec* rec,
                           const std::vector<Point>& pts) {
   TOKRA_CHECK(pts.size() <= PilotMax());
+  TOKRA_DCHECK(std::adjacent_find(pts.begin(), pts.end(),
+                                  [](const Point& a, const Point& b) {
+                                    return a.x >= b.x;
+                                  }) == pts.end());
   // The set holds exactly the blocks its points fill: a grown set gets
   // fresh zeroed blocks, a shrunk one frees its tail (a CowFree under MVCC).
-  // Slots are scanned rather than derived from the old count, so a set of
-  // the older layout, with all kPilotBlocks slots allocated, gives its
-  // extra blocks back here.
   const std::uint32_t need = em::PagedArray<Point>::BlocksFor(
       B(), static_cast<std::uint32_t>(pts.size()));
   for (std::uint32_t i = 0; i < kPilotBlocks; ++i) {
@@ -218,20 +252,29 @@ Status PilotPst::Insert(const Point& p) {
 // Delivers `carry` (points higher than everything below `t`) into pilot(t);
 // if the union exceeds 2B, keeps the highest B and cascades the rest — the
 // paper's chain of push-downs, with the in-flight points held in scratch so
-// no pilot set ever materializes above 2B points.
+// no pilot set ever materializes above 2B points. `carry` is x-ordered, and
+// so is every carry the cascade passes on.
 void PilotPst::PushDown(TRef t, std::vector<Point> carry) {
   if (carry.empty()) return;
   TNodeRec rec = LoadTNode(t);
   std::vector<Point> pts = PilotRead(rec);
-  pts.insert(pts.end(), carry.begin(), carry.end());
+  const auto mid = pts.insert(pts.end(), carry.begin(), carry.end());
+  std::inplace_merge(pts.begin(), mid, pts.end(), ByXAsc{});
   rec.ins_tokens += carry.size();  // Lemma 3 rules 1 and 3 (arrivals)
   if (pts.size() <= PilotMax()) {
     PilotWrite(t, &rec, pts);
     return;
   }
-  std::sort(pts.begin(), pts.end(), ByScoreDesc{});
-  std::vector<Point> keep(pts.begin(), pts.begin() + PilotTarget());
-  std::vector<Point> move(pts.begin() + PilotTarget(), pts.end());
+  // Keep the PilotTarget() highest; one pass splits the x-ordered union
+  // into two x-ordered halves.
+  std::vector<double> scores(pts.size());
+  std::transform(pts.begin(), pts.end(), scores.begin(),
+                 [](const Point& p) { return p.score; });
+  std::nth_element(scores.begin(), scores.begin() + PilotTarget() - 1,
+                   scores.end(), std::greater<>());
+  const double cut = scores[PilotTarget() - 1];
+  std::vector<Point> keep, move;
+  for (const Point& p : pts) (p.score >= cut ? keep : move).push_back(p);
   TOKRA_PCHECK(rec.ins_tokens >= move.size());  // Lemma 3 invariant 1
   rec.ins_tokens = rec.ins_tokens >= move.size()
                        ? rec.ins_tokens - move.size()
@@ -247,12 +290,11 @@ void PilotPst::PushDown(TRef t, std::vector<Point> carry) {
   TRef lt{t.base, static_cast<TIndex>(rec.left)};
   TRef rt{t.base, static_cast<TIndex>(rec.right)};
   TNodeRec lrec = LoadTNode(lt);
-  std::vector<Point> lmove, rmove;
-  for (const Point& p : move) {
-    (p.x < lrec.hi_x() ? lmove : rmove).push_back(p);
-  }
-  PushDown(lt, std::move(lmove));
-  PushDown(rt, std::move(rmove));
+  auto split = std::partition_point(
+      move.begin(), move.end(),
+      [&](const Point& p) { return p.x < lrec.hi_x(); });
+  PushDown(lt, std::vector<Point>(move.begin(), split));
+  PushDown(rt, std::vector<Point>(split, move.end()));
 }
 
 // --- deletion -------------------------------------------------------
@@ -275,8 +317,10 @@ Status PilotPst::Delete(const Point& p) {
         // deeper scores strictly below the representative.
         TRef t{cur, v};
         std::vector<Point> pts = PilotRead(rec);
-        auto it = std::find(pts.begin(), pts.end(), p);
-        if (it == pts.end()) return Status::NotFound("point not present");
+        auto it = std::lower_bound(pts.begin(), pts.end(), p, ByXAsc{});
+        if (it == pts.end() || !(*it == p)) {
+          return Status::NotFound("point not present");
+        }
         pts.erase(it);
         rec.del_tokens += 1;  // Lemma 3 rule 2
         PilotWrite(t, &rec, pts);
@@ -355,41 +399,27 @@ bool PilotPst::PullUp(const TRef& t, TNodeRec* rec) {
   bool draining = avail < need;
   std::uint64_t take = std::min(avail, need);
 
-  if (draining) {
-    for (KidState& s : ks) {
-      mine.insert(mine.end(), s.pts.begin(), s.pts.end());
-      s.rec.del_tokens += s.pts.size();  // rule 4 bookkeeping before wipe
-      PilotWrite(s.t, &s.rec, {});
+  // Move the `take` highest points across both children (all of them when
+  // draining). A child keeps the rest in its x order.
+  double cut = -kInf;
+  if (!draining) {
+    std::vector<double> scores;
+    for (const KidState& s : ks) {
+      for (const Point& p : s.pts) scores.push_back(p.score);
     }
-  } else {
-    // Move the `take` highest points across both children.
-    struct Tagged {
-      Point p;
-      std::size_t kid;
-    };
-    std::vector<Tagged> pool;
-    for (std::size_t i = 0; i < ks.size(); ++i) {
-      for (const Point& p : ks[i].pts) pool.push_back(Tagged{p, i});
-    }
-    std::nth_element(pool.begin(), pool.begin() + take - 1, pool.end(),
-                     [](const Tagged& a, const Tagged& b) {
-                       return a.p.score > b.p.score;
-                     });
-    std::vector<std::vector<Point>> keep(ks.size());
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (i < take) {
-        mine.push_back(pool[i].p);
-      } else {
-        keep[pool[i].kid].push_back(pool[i].p);
-      }
-    }
-    for (std::size_t i = 0; i < ks.size(); ++i) {
-      ks[i].rec.del_tokens += ks[i].pts.size() - keep[i].size();  // rule 4
-      PilotWrite(ks[i].t, &ks[i].rec, keep[i]);
-    }
+    std::nth_element(scores.begin(), scores.begin() + take - 1, scores.end(),
+                     std::greater<>());
+    cut = scores[take - 1];
+  }
+  for (KidState& s : ks) {
+    std::vector<Point> keep;
+    for (const Point& p : s.pts) (p.score >= cut ? mine : keep).push_back(p);
+    s.rec.del_tokens += s.pts.size() - keep.size();  // rule 4
+    PilotWrite(s.t, &s.rec, keep);
   }
   TOKRA_PCHECK(rec->del_tokens >= take);  // Lemma 3 invariant 2
   rec->del_tokens = rec->del_tokens >= take ? rec->del_tokens - take : 0;
+  std::sort(mine.begin(), mine.end(), ByXAsc{});
   PilotWrite(t, rec, mine);
   return draining;
 }

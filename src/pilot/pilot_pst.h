@@ -87,6 +87,10 @@ class PilotPst {
   /// Appends every point in [x1, x2] x [y, +inf). O(lg n + t/B) I/Os via
   /// max-score pruning: a visited covered node either reports its whole
   /// pilot set (>= B/2 points, charged to output) or terminates its branch.
+  /// A boundary node, whose slab only partly overlaps [x1, x2], binary-
+  /// searches its x-ordered set in place and pins only the blocks up to the
+  /// first x > x2: O(1 + t_u/B) blocks for its t_u points in range. Covered
+  /// nodes' sets are prefetched per wave; boundary nodes' are not.
   /// This serves as the Theorem 1 reduction's 3-sided reporting structure
   /// (substituting the Arge-Samoladas-Vitter PST; see DESIGN.md).
   Status Report3Sided(double x1, double x2, double y,
@@ -96,7 +100,8 @@ class PilotPst {
   void DestroyAll();
 
   /// Validates every structural invariant (weights, slab order, heap order
-  /// of pilot sets, size rules, reachability of all live points). O(n).
+  /// of pilot sets, x order within each set, size rules, reachability of
+  /// all live points). O(n).
   void CheckInvariants() const;
 
  private:
@@ -122,11 +127,17 @@ class PilotPst {
   TNodeRec LoadTNode(const TRef& t) const;
   void StoreTNode(const TRef& t, const TNodeRec& rec);
   std::vector<Point> PilotRead(const TNodeRec& rec) const;
+  /// Appends the points of rec's set in [x1, x2] x [y, +inf). Pins the
+  /// blocks in x order, skips one that ends left of x1, and returns at the
+  /// first x > x2 without pinning the blocks after it.
+  void PilotScan(const TNodeRec& rec, double x1, double x2, double y,
+                 std::vector<Point>* out) const;
   /// Prefetches the occupied pilot blocks of every record into the pool in
-  /// one call, so the PilotReads that follow hit the cache. Takes the
+  /// one call, so the whole-set reads that follow hit the cache. Takes the
   /// (ref, record) pairs the query paths already hold.
   void PrefetchPilots(std::span<const std::pair<TRef, TNodeRec>> recs) const;
   /// Rewrites the pilot set of `t` and refreshes count/rep in its record.
+  /// `pts` must be in strictly increasing x: every set is stored x-ordered.
   void PilotWrite(const TRef& t, TNodeRec* rec, const std::vector<Point>& pts);
   TRef RootTRef() const;
   /// Root T-node of the subtree hanging below slab record `rec`.

@@ -4,6 +4,7 @@
 // Q1 u Q2 u Q3 a superset of the true top-k).
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 
 #include "pilot/pilot_pst.h"
@@ -115,15 +116,9 @@ StatusOr<std::vector<Point>> PilotPst::TopK(double x1, double x2,
   descend(x2);
 
   for (const auto& [t, rec] : path_recs) {
-    if (rec.pilot_count == 0) continue;
-    std::vector<Point> pts = PilotRead(rec);
-    for (const Point& p : pts) {
-      if (p.x >= x1 && p.x <= x2) {
-        cand.push_back(p);
-        if (stats != nullptr) ++stats->q1_points;
-      }
-    }
+    PilotScan(rec, x1, x2, -std::numeric_limits<double>::infinity(), &cand);
   }
+  if (stats != nullptr) stats->q1_points += cand.size();
 
   // ---- Pi: off-path children whose slab is covered by q -----------------
   auto covered = [&](const TNodeRec& rec) {
@@ -232,28 +227,28 @@ Status PilotPst::Report3Sided(double x1, double x2, double y,
   if (x1 > x2) return Status::InvalidArgument("x1 > x2");
   if (size() == 0) return Status::Ok();
   // Breadth-first waves instead of a DFS stack: every node a wave will
-  // report from is known before any pilot set is read, so each level's
-  // pilot blocks are prefetched in one call (the reported set — and
-  // thus the I/O count — is identical; only the emission order changes,
-  // and every caller selects/sorts afterwards).
-  std::vector<std::pair<TRef, TNodeRec>> live;
+  // report from is known before any pilot set is read, so the covered
+  // nodes' pilot blocks, which are read whole, are prefetched in one call
+  // per wave. A boundary node's scan pins only the blocks it needs, so
+  // prefetching its set would add transfers. The emission order is not
+  // the DFS order; every caller selects/sorts afterwards.
+  std::vector<std::pair<TRef, TNodeRec>> live, whole;
   std::vector<TRef> wave{RootTRef()}, next;
   while (!wave.empty()) {
     live.clear();
+    whole.clear();
     for (const TRef& t : wave) {
       TNodeRec rec = LoadTNode(t);
       if (rec.hi_x() <= x1 || rec.lo_x() > x2) continue;  // slab disjoint
       if (rec.pilot_count == 0) continue;  // empty pilot => empty subtree
       if (rec.pmax() < y) continue;  // whole subtree below the threshold
       live.emplace_back(t, rec);
+      if (rec.lo_x() >= x1 && rec.hi_x() <= x2) whole.emplace_back(t, rec);
     }
-    PrefetchPilots(live);
+    PrefetchPilots(whole);
     next.clear();
     for (const auto& [t, rec] : live) {
-      std::vector<Point> pts = PilotRead(rec);
-      for (const Point& p : pts) {
-        if (p.x >= x1 && p.x <= x2 && p.score >= y) out->push_back(p);
-      }
+      PilotScan(rec, x1, x2, y, out);
       if (rec.is_slab()) {
         TRef c = SlabChild(rec);
         if (c.valid()) next.push_back(c);

@@ -177,6 +177,7 @@ void PilotPst::FillPilots(const TRef& t, std::vector<Point> by_score) {
   TNodeRec rec = LoadTNode(t);
   std::size_t take = std::min<std::size_t>(PilotTarget(), by_score.size());
   std::vector<Point> mine(by_score.begin(), by_score.begin() + take);
+  std::sort(mine.begin(), mine.end(), ByXAsc{});
   PilotWrite(t, &rec, mine);
   if (take == by_score.size()) return;
   std::vector<Point> rest(by_score.begin() + take, by_score.end());
@@ -515,7 +516,9 @@ void PilotPst::CheckT(const TRef& t, double bound, double lo, double hi,
   TOKRA_CHECK_EQ(pts.size(), rec.pilot_count);
   TOKRA_CHECK(pts.size() <= PilotMax());
   double min_score = kInf;
-  for (const Point& p : pts) {
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const Point& p = pts[i];
+    TOKRA_CHECK(i == 0 || pts[i - 1].x < p.x);  // strictly x-ordered
     TOKRA_CHECK(p.x >= rec.lo_x() && p.x < rec.hi_x());
     TOKRA_CHECK(p.score < bound);
     min_score = std::min(min_score, p.score);

@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/topk_index.h"
@@ -310,6 +311,47 @@ TEST(TopkIndexPersistenceTest, CheckpointReopenAnswersIdentically) {
   ASSERT_TRUE(idx2.ok());
   EXPECT_EQ((*idx2)->size(), points.size() + extra.size());
   (*idx2)->CheckInvariants();
+}
+
+// Pilot sets are stored x-ordered, and the meta block says so. A file
+// whose layout word holds the older value (0: unordered sets) is refused,
+// not migrated: its scans would miss points.
+TEST(TopkIndexPersistenceTest, RejectsOlderPilotLayout) {
+  for (em::Backend backend : {em::Backend::kFile, em::Backend::kMmap}) {
+    const bool mmap = backend == em::Backend::kMmap;
+    SCOPED_TRACE(mmap ? "kMmap" : "kFile");
+    TempDir dir(mmap ? "layout-mmap" : "layout-file");
+    em::EmOptions opts{.block_words = 64,
+                       .pool_frames = 32,
+                       .backend = backend,
+                       .path = dir.File("index.blk")};
+    Rng rng(14);
+    {
+      em::Pager pager(opts);
+      auto built = core::TopkIndex::Build(&pager, MakePoints(&rng, 500));
+      ASSERT_TRUE(built.ok());
+      ASSERT_TRUE((*built)->Checkpoint().ok());
+    }
+    {
+      auto reopened = em::Pager::Open(opts);
+      ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+      em::Pager& pager = **reopened;
+      ASSERT_TRUE(core::TopkIndex::Open(&pager).ok());
+      const std::vector<std::uint64_t> roots(pager.roots().begin(),
+                                             pager.roots().end());
+      {
+        em::PageRef mp = pager.Fetch(roots[0]);
+        ASSERT_EQ(mp.Get(core::TopkIndex::kPilotLayoutWord),
+                  core::TopkIndex::kPilotLayoutXOrdered);
+        mp.Set(core::TopkIndex::kPilotLayoutWord, 0);
+      }
+      ASSERT_TRUE(pager.Checkpoint(roots).ok());
+    }
+    auto reopened = em::Pager::Open(opts);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(core::TopkIndex::Open(reopened->get()).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
 }
 
 // kAuto's choice is made once, at Build, and persisted: an index whose
@@ -776,16 +818,24 @@ TEST(WalRecoveryTest, CrashBetweenCheckpointsLosesNothing) {
   ExpectMatchesOracle(again->get(), expected, 500);
 }
 
+using Selector = core::TopkIndex::Options::Selector;
+
+// kAuto picks ST12 at every size these suites build, so the recovery
+// cases that must also cover Lemma 4 run once per selector.
+constexpr std::pair<Selector, const char*> kSelectors[] = {
+    {Selector::kAuto, "kAuto"}, {Selector::kLemma4, "kLemma4"}};
+
 // MVCC churn with pools far smaller than the shards: a prefetch can evict
 // a dirty copy-on-write block and re-read it in the same call. The re-read
 // must see the block's redirected location, or the shards recover with
 // stale nodes. Runs as a crash after the last acknowledged update (kWal,
 // no final checkpoint) and as a clean shutdown (kCheckpoint, final
 // checkpoint).
-void ChurnMvccAndRecover(engine::Durability durability) {
+void ChurnMvccAndRecover(engine::Durability durability, Selector selector) {
   const bool wal = durability == engine::Durability::kWal;
   TempDir dir(wal ? "mvcc-churn-wal" : "mvcc-churn-ckpt");
   engine::EngineOptions opts;
+  opts.index.selector = selector;
   opts.num_shards = 4;
   opts.em.block_words = 64;
   opts.em.pool_frames = 16;
@@ -824,13 +874,16 @@ void ChurnMvccAndRecover(engine::Durability durability) {
 }
 
 TEST(MvccRecoveryTest, ChurnWithSmallPoolsRecoversToOracle) {
-  {
-    SCOPED_TRACE("kWal");
-    ChurnMvccAndRecover(engine::Durability::kWal);
-  }
-  {
-    SCOPED_TRACE("kCheckpoint");
-    ChurnMvccAndRecover(engine::Durability::kCheckpoint);
+  for (const auto& [selector, name] : kSelectors) {
+    SCOPED_TRACE(name);
+    {
+      SCOPED_TRACE("kWal");
+      ChurnMvccAndRecover(engine::Durability::kWal, selector);
+    }
+    {
+      SCOPED_TRACE("kCheckpoint");
+      ChurnMvccAndRecover(engine::Durability::kCheckpoint, selector);
+    }
   }
 }
 
@@ -898,9 +951,10 @@ TEST(WalRecoveryTest, FlippedByteDropsOnlyTheTornRecord) {
 }
 
 // Corruption: the log sheared mid-frame (truncated write). Same contract.
-TEST(WalRecoveryTest, ShearedLogRecoversThePrefix) {
+void ShearLogAndRecover(Selector selector) {
   TempDir dir("wal-shear");
   engine::EngineOptions opts;
+  opts.index.selector = selector;
   opts.num_shards = 1;
   opts.threads = 1;
   opts.em = em::EmOptions{.block_words = 64, .pool_frames = 16};
@@ -942,6 +996,13 @@ TEST(WalRecoveryTest, ShearedLogRecoversThePrefix) {
   auto recovered = engine::ShardedTopkEngine::Recover(opts);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ExpectMatchesOracle(recovered->get(), surviving, 2000);
+}
+
+TEST(WalRecoveryTest, ShearedLogRecoversThePrefix) {
+  for (const auto& [selector, name] : kSelectors) {
+    SCOPED_TRACE(name);
+    ShearLogAndRecover(selector);
+  }
 }
 
 // Checkpoints stamp the covered LSN and truncate the log behind it: the

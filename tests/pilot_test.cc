@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -16,6 +17,8 @@
 
 namespace tokra::pilot {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 em::EmOptions Opts(std::uint32_t bw = 64, std::uint32_t frames = 32) {
   return em::EmOptions{.block_words = bw, .pool_frames = frames};
@@ -198,6 +201,73 @@ INSTANTIATE_TEST_SUITE_P(
           .append("n")
           .append(std::to_string(info.param.n));
     });
+
+// Every pilot set is stored in increasing x, and a boundary node's scan
+// binary-searches it in place: it skips blocks left of x1 and stops at the
+// first x > x2. The answers are checked after the build and again after
+// churn, so the scanned sets were last written by every path that writes
+// one: the build's fill, push-downs, pull-ups and a global rebuild.
+TEST(PilotPstTest, ThreeSidedScanMatchesBruteForce) {
+  em::Pager pager(Opts(64));  // 32 points per block, up to 4 per set
+  Rng rng(31);
+  auto pts = RandomPoints(&rng, 2000);
+  PilotPst pst = PilotPst::Build(&pager, pts);
+  std::vector<Point> live = pts;
+
+  // Narrow ranges (about 0.5% of the keys) and wide ones, each with
+  // y in {-inf, a score in range, above the max}.
+  auto expect_answers = [&] {
+    double max_score = -kInf;
+    for (const Point& p : live) max_score = std::max(max_score, p.score);
+    for (int probe = 0; probe < 60; ++probe) {
+      SCOPED_TRACE(testing::Message() << "probe " << probe);
+      const double width =
+          probe % 2 == 0 ? 5.0 : rng.UniformDouble(100, 1100);
+      const double x1 = rng.UniformDouble(-50, 1000);
+      const double x2 = x1 + width;
+      auto in_range = internal::NaiveTopK(live, x1, x2, live.size());
+      const double mid =
+          in_range.empty() ? 0.5 : in_range[in_range.size() / 2].score;
+      for (double y : {-kInf, mid, max_score + 1.0}) {
+        SCOPED_TRACE(testing::Message() << "y " << y);
+        std::vector<Point> got;
+        ASSERT_TRUE(pst.Report3Sided(x1, x2, y, &got).ok());
+        std::sort(got.begin(), got.end(), ByScoreDesc{});
+        ExpectTopKEqual(got, internal::Naive3Sided(live, x1, x2, y));
+      }
+      const std::uint64_t k = 1 + rng.Uniform(80);
+      auto top = pst.TopK(x1, x2, k);
+      ASSERT_TRUE(top.ok());
+      ExpectTopKEqual(*top, internal::NaiveTopK(live, x1, x2, k));
+    }
+  };
+  expect_answers();
+
+  // High scores join near the root and cascade sets down (push-downs).
+  auto fresh = rng.DistinctDoubles(800, 0.0, 1000.0);
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    const Point p{fresh[i] + 1e-7, 1.0 + static_cast<double>(i) * 1e-4};
+    ASSERT_TRUE(pst.Insert(p).ok());
+    live.push_back(p);
+  }
+  // Deleting down to 1200 of 2800 keys pulls points up and crosses
+  // keys >= 2 * live, so a global rebuild fires; inserts follow it.
+  while (live.size() > 1200) {
+    const std::size_t pick = rng.Uniform(live.size());
+    ASSERT_TRUE(pst.Delete(live[pick]).ok());
+    live[pick] = live.back();
+    live.pop_back();
+  }
+  auto more = rng.DistinctDoubles(300, 0.0, 1000.0);
+  for (std::size_t i = 0; i < more.size(); ++i) {
+    const Point p{more[i] + 2e-7, 2.0 + static_cast<double>(i) * 1e-4};
+    ASSERT_TRUE(pst.Insert(p).ok());
+    live.push_back(p);
+  }
+  pst.CheckInvariants();
+  ASSERT_EQ(pst.size(), live.size());
+  expect_answers();
+}
 
 TEST(PilotPstTest, LargeKReturnsWholeRange) {
   em::Pager pager(Opts());
