@@ -105,23 +105,24 @@ class PagedArray {
   /// Writes `vals` starting at `begin`, touching each backing block once.
   /// Blocks are fetched before modification (a record may share its block
   /// with records outside the range), so the misses are prefetched as one
-  /// batch here too.
+  /// batch here too. A block whose segment already holds the new bytes is
+  /// left clean: no write-back, and under COW no redirect.
   void WriteRange(std::uint32_t begin, std::span<const T> vals) {
     TOKRA_DCHECK(begin + vals.size() <= capacity());
     if (vals.empty()) return;
-    PrefetchSpan(begin, begin + static_cast<std::uint32_t>(vals.size()));
+    const std::uint32_t end = begin + static_cast<std::uint32_t>(vals.size());
+    PrefetchSpan(begin, end);
     std::uint32_t i = begin;
-    std::size_t j = 0;
-    while (j < vals.size()) {
+    while (i < end) {
       std::uint32_t b = i / per_block_;
-      std::uint32_t last =
-          std::min<std::uint32_t>(begin + static_cast<std::uint32_t>(vals.size()),
-                                  (b + 1) * per_block_);
+      std::uint32_t last = std::min(end, (b + 1) * per_block_);
       PageRef page = pager_->Fetch(blocks_[b]);
-      for (; i < last; ++i, ++j) {
-        std::memcpy(page.mutable_words().data() + Offset(i),
-                    static_cast<const void*>(&vals[j]), sizeof(T));
+      const void* src = &vals[i - begin];
+      const std::size_t bytes = std::size_t{last - i} * sizeof(T);
+      if (std::memcmp(page.words().data() + Offset(i), src, bytes) != 0) {
+        std::memcpy(page.mutable_words().data() + Offset(i), src, bytes);
       }
+      i = last;
     }
   }
 

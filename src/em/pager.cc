@@ -236,7 +236,7 @@ StatusOr<std::unique_ptr<Pager>> Pager::OpenOn(
 }
 
 Status Pager::AdvanceReadView(std::uint64_t expected_epoch,
-                              std::span<const BlockId> changed) {
+                              std::span<const MapEntry> delta) {
   if (!options_.read_only) {
     return Status::FailedPrecondition("AdvanceReadView on a writable pager");
   }
@@ -245,8 +245,8 @@ Status Pager::AdvanceReadView(std::uint64_t expected_epoch,
   // The drops run before the load, and a failed load keeps the old map, so
   // a dropped name reloads from its old location either way.
   if (epoch_ + 1 == expected_epoch) {
-    for (BlockId id : changed) pool_.Invalidate(id);
-    return LoadSuperblock(expected_epoch, &changed);
+    for (const MapEntry& entry : delta) pool_.Invalidate(entry.first);
+    return LoadSuperblock(expected_epoch, &delta);
   }
   pool_.DropAll();
   return LoadSuperblock(expected_epoch);
@@ -284,9 +284,9 @@ Status Pager::Checkpoint(std::span<const std::uint64_t> roots) {
   // COW epoch publish) thus recycles one region pair forever instead of
   // leaking a region per checkpoint. A released spare's ids rejoin the
   // free list, and hence this checkpoint's persisted free set. (COW note:
-  // an epoch reader loads its superblock + spill only at open or advance,
-  // never the spare, so reusing a superseded spill region never races a
-  // pinned reader's data reads.)
+  // an epoch reader loads its spill only at open or at an advance of more
+  // than one epoch, never the spare, so reusing a superseded spill region
+  // never races a pinned reader's data reads.)
   std::size_t stream_len = free_list_.size() + spill_count_;
   if (cow_) {
     std::lock_guard<std::mutex> lock(epochs_mu_);
@@ -433,6 +433,7 @@ Status Pager::Checkpoint(std::span<const std::uint64_t> roots) {
   spare_spill_count_ = prev_spill_count;
   roots_.assign(roots.begin(), roots.end());
   wal_ckpt_lsn_ = covered_lsn;
+  checkpoint_stream_words_ = stream.size();
   if (cow_) {
     // Publish: new pins land on this epoch, and the interval's superseded
     // locations enter the retire queue tagged with the epoch that last
@@ -450,8 +451,15 @@ Status Pager::Checkpoint(std::span<const std::uint64_t> roots) {
     // Everything the new checkpoint references is now protected: the next
     // interval's first write to any of it must redirect.
     interval_fresh_.clear();
-    // The collected names now describe exactly (E-1, E] for read views.
-    published_changes_.swap(interval_changes_);
+    // The collected names now describe exactly (E-1, E]; paired with their
+    // locations in the map just serialized, they are the read views' delta.
+    std::sort(interval_changes_.begin(), interval_changes_.end());
+    published_delta_.clear();
+    for (BlockId name : interval_changes_) {
+      if (published_delta_.empty() || published_delta_.back().first != name) {
+        published_delta_.emplace_back(name, TranslateRead(name));
+      }
+    }
     interval_changes_.clear();
   } else {
     CaptureCheckpointLiveSet();
@@ -560,7 +568,7 @@ Status Pager::AttachWalAndUndo() {
 }
 
 Status Pager::LoadSuperblock(std::uint64_t expected_epoch,
-                             const std::span<const BlockId>* delta) {
+                             const std::span<const MapEntry>* delta) {
   const std::uint32_t b = B();
   if (b < kSuperHeaderWords) {
     return Status::FailedPrecondition("block too small for a superblock");
@@ -608,28 +616,31 @@ Status Pager::LoadSuperblock(std::uint64_t expected_epoch,
   if (root_count > b - kSuperHeaderWords) {
     return Status::FailedPrecondition("corrupt superblock root count");
   }
-  std::size_t w = kSuperHeaderWords + root_count;
+  const std::size_t w = kSuperHeaderWords + root_count;
 
   // The allocator stream: free ids, then (name, location) map pairs —
-  // inline after the roots, spilling into the reserved region.
+  // inline after the roots, spilling into the reserved region. A one-epoch
+  // advance checks its shape but reads none of it.
   const std::size_t map_count = super[kWMapCount];
   const std::size_t stream_len = free_count + 2 * map_count;
-  std::vector<word_t> stream;
-  stream.reserve(stream_len);
   const std::size_t n_inline = std::min(stream_len, std::size_t{b} - w);
-  for (std::size_t i = 0; i < n_inline; ++i) stream.push_back(super[w++]);
   const std::size_t spill = stream_len - n_inline;
   if (CeilDiv(spill, std::size_t{b}) != spill_blocks) {
     return Status::FailedPrecondition("corrupt superblock allocator stream");
   }
-  if (spill_blocks > 0) {
-    if (spill_start + spill_blocks > device_->NumBlocks()) {
-      return Status::FailedPrecondition("truncated allocator-stream spill");
+  if (spill_blocks > 0 && spill_start + spill_blocks > device_->NumBlocks()) {
+    return Status::FailedPrecondition("truncated allocator-stream spill");
+  }
+  std::vector<word_t> stream;
+  if (delta == nullptr) {
+    stream.reserve(stream_len);
+    stream.assign(super.begin() + w, super.begin() + w + n_inline);
+    if (spill_blocks > 0) {
+      spill_scratch_.assign(std::size_t{spill_blocks} * b, 0);
+      device_->ReadRun(spill_start, spill_blocks, spill_scratch_.data());
+      stream.insert(stream.end(), spill_scratch_.begin(),
+                    spill_scratch_.begin() + spill);
     }
-    spill_scratch_.assign(std::size_t{spill_blocks} * b, 0);
-    device_->ReadRun(spill_start, spill_blocks, spill_scratch_.data());
-    stream.insert(stream.end(), spill_scratch_.begin(),
-                  spill_scratch_.begin() + spill);
   }
 
   // Every check passed: commit.
@@ -639,9 +650,9 @@ Status Pager::LoadSuperblock(std::uint64_t expected_epoch,
   wal_ckpt_lsn_ = super[kWWalLsn];
   spill_start_ = spill_start;
   spill_count_ = spill_blocks;
+  checkpoint_stream_words_ = stream_len;
   roots_.assign(super.begin() + kSuperHeaderWords,
                 super.begin() + kSuperHeaderWords + root_count);
-  free_list_.assign(stream.begin(), stream.begin() + free_count);
 
   // COW state: the flag in the file wins over the option — a COW device's
   // translation map is live state that cannot be dropped; an option-enabled
@@ -649,20 +660,19 @@ Status Pager::LoadSuperblock(std::uint64_t expected_epoch,
   cow_ = options_.cow_epochs || (super[kWFlags] & kFlagCowEpochs) != 0;
   if (delta != nullptr) {
     // One epoch on: only the names the interval wrote back or freed can
-    // map differently (DESIGN.md §14.4), so only their entries are redone,
-    // still from the persisted stream.
-    std::vector<BlockId> names(delta->begin(), delta->end());
-    std::sort(names.begin(), names.end());
-    names.erase(std::unique(names.begin(), names.end()), names.end());
-    for (BlockId name : names) map_.erase(name);
-    for (std::size_t i = 0; i < map_count; ++i) {
-      const BlockId name = stream[free_count + 2 * i];
-      if (std::binary_search(names.begin(), names.end(), name)) {
-        map_[name] = stream[free_count + 2 * i + 1];
+    // map differently (DESIGN.md §14.4), and the writer's delta carries
+    // their locations at this epoch — the map the commit serialized.
+    free_list_.clear();  // unknown without the stream; never allocated from
+    for (const auto& [name, loc] : *delta) {
+      if (loc == name) {
+        map_.erase(name);
+      } else {
+        map_[name] = loc;
       }
     }
     TOKRA_CHECK(map_.size() == map_count);
   } else {
+    free_list_.assign(stream.begin(), stream.begin() + free_count);
     map_.clear();
     orphans_.clear();
     for (std::size_t i = 0; i < map_count; ++i) {

@@ -387,29 +387,41 @@ class Pager : private WriteBarrier, private BlockTranslator {
   static StatusOr<std::unique_ptr<Pager>> OpenOn(
       std::unique_ptr<BlockDevice> device, EmOptions options);
 
-  /// Writer side, COW only: the names whose blocks the last publish changed
-  /// — every name written back or freed in the closed interval (E-1, E],
-  /// where E is published_epoch(). A checkpoint that fails to publish keeps
-  /// collecting, so after it the next publish reports a superset. Only a
-  /// write-back or a free moves a name's location, so the list also names
-  /// every translation-map entry that may differ between E-1 and E.
-  const std::vector<BlockId>& published_changes() const {
-    return published_changes_;
+  /// One translation-map change: (name, location), where location == name
+  /// means the name has no entry (identity, or freed).
+  using MapEntry = std::pair<BlockId, BlockId>;
+
+  /// Writer side, COW only: the last publish's map delta — every name
+  /// written back or freed in (E-1, E], E = published_epoch(), once, in
+  /// order, paired with its location in the map that commit serialized. A
+  /// checkpoint that fails to publish keeps collecting, so the next publish
+  /// reports a superset. Only a write-back or a free moves a location, so
+  /// the delta covers every map entry that may differ between E-1 and E.
+  const std::vector<MapEntry>& published_delta() const {
+    return published_delta_;
+  }
+
+  /// Allocator-stream words (free ids, map pairs) of the last checkpoint
+  /// written or loaded: the O(map) image every checkpoint serializes.
+  std::size_t checkpoint_stream_words() const {
+    return checkpoint_stream_words_;
   }
 
   /// Read-view side: moves an OpenOn() pager to the owner's epoch
   /// `expected_epoch` in place, keeping its pool warm. One epoch behind, it
-  /// drops only the cached names in `changed` (the owner's
-  /// published_changes() for that epoch) and, after reloading the newest
-  /// superblock, redoes only their translation-map entries; further behind,
-  /// it drops the whole pool and rebuilds the whole map. Fails, leaving the
-  /// roots and translation map of the old epoch, when the newest valid
-  /// superblock is not `expected_epoch` (an unreadable newest slot falls
-  /// back to an older one, whose blocks the caller's pin may no longer
-  /// protect). The caller must hold a pin at or before `expected_epoch`
-  /// and must have no page of this pager pinned.
+  /// drops only the cached names in `delta` (the owner's published_delta()
+  /// for that epoch), reads and checks both superblock slots, takes its
+  /// roots from the newest, and applies the delta's pairs to the
+  /// translation map — no spill read, no stream parse, and no free list
+  /// kept (a read-only pager never allocates). Further behind, it drops the
+  /// whole pool and loads the whole stream. Fails, leaving the roots and
+  /// translation map of the old epoch, when the newest valid superblock is
+  /// not `expected_epoch` (an unreadable newest slot falls back to an older
+  /// one, whose blocks the caller's pin may no longer protect). The caller
+  /// must hold a pin at or before `expected_epoch` and must have no page of
+  /// this pager pinned.
   Status AdvanceReadView(std::uint64_t expected_epoch,
-                         std::span<const BlockId> changed);
+                         std::span<const MapEntry> delta);
 
   /// Fixed words at the head of the superblock, preceding roots and the
   /// inline free list. EmOptions::Validate() enforces block_words >= this,
@@ -431,10 +443,11 @@ class Pager : private WriteBarrier, private BlockTranslator {
   /// `options_`, or (when `expected_epoch` is non-zero) whose newest valid
   /// superblock has another epoch. Transactional: every check runs before
   /// any member changes, so a failed load leaves the pager as it was. With
-  /// `delta` (a one-epoch advance), only the map entries of the names in
-  /// *delta are replaced; the rest of map_ must already match the stream.
+  /// `delta` (a one-epoch advance) the header is still read and checked,
+  /// but the stream is neither read nor parsed: the pairs of *delta are
+  /// applied to map_, whose other entries must already match the stream.
   Status LoadSuperblock(std::uint64_t expected_epoch = 0,
-                        const std::span<const BlockId>* delta = nullptr);
+                        const std::span<const MapEntry>* delta = nullptr);
 
   // ---- COW epoch machinery (cow_ only; see DESIGN.md §14) ----
   //
@@ -525,6 +538,7 @@ class Pager : private WriteBarrier, private BlockTranslator {
   // one allocation instead of building a fresh vector per spill run.
   std::vector<word_t> spill_scratch_;
   std::uint64_t epoch_ = 0;  // checkpoint counter; parity picks the slot
+  std::size_t checkpoint_stream_words_ = 0;  // allocator stream, last commit
 
   // Write-ahead log state (EmOptions::wal_path). The live-set snapshot
   // (high-water + free set as of the last checkpoint) decides which home
@@ -546,7 +560,7 @@ class Pager : private WriteBarrier, private BlockTranslator {
   std::unordered_set<BlockId> interval_fresh_;  // locations born post-publish
   std::vector<BlockId> deferred_;  // superseded this interval
   std::vector<BlockId> interval_changes_;   // names written back or freed
-  std::vector<BlockId> published_changes_;  // the same, for (E-1, E]
+  std::vector<MapEntry> published_delta_;   // those of (E-1, E], located
   // Retired locations whose names are still held. Only DrainRetired and
   // CowFree read it, so a read-only pager (which never allocates or frees)
   // keeps it empty.

@@ -198,6 +198,11 @@ std::string ShardedTopkEngine::DumpMetrics() const {
         std::lock_guard<std::mutex> g(sh.mu);
         s = sh.pager->Space();
         if (!sh.pager->io_status().ok()) ++failed_shards;
+        // The O(map) allocator image every checkpoint writes (a publish,
+        // under mvcc): what a delta stream would shrink (ROADMAP item 3).
+        r.GetGauge("tokra_pager_checkpoint_stream_words", shard_label)
+            ->Set(static_cast<std::int64_t>(
+                sh.pager->checkpoint_stream_words()));
         if (options_.mvcc) {
           // MVCC epoch health (DESIGN.md §14): the live (newest published)
           // epoch, how many distinct epochs readers still pin (a stuck pin
@@ -1190,12 +1195,12 @@ void ShardedTopkEngine::StoreShardView(std::size_t i, Shard& sh,
     // at most one probe per handle; readers never wait on the writer. A
     // failure keeps the previous view, whose pin also protects every newer
     // epoch a handle may already serve.
-    const std::vector<em::BlockId>& changed = sh.pager->published_changes();
+    const auto& delta = sh.pager->published_delta();
     for (const auto& h : *sh.handles) {
       std::lock_guard<std::mutex> g(h->mu);
       if (h->epoch == epoch && h->index != nullptr) continue;
       const bool full = h->pager->published_epoch() + 1 != epoch;
-      if (!h->pager->AdvanceReadView(epoch, changed).ok()) return;
+      if (!h->pager->AdvanceReadView(epoch, delta).ok()) return;
       n_view_advances_.fetch_add(1, std::memory_order_relaxed);
       if (mset_.view_advances_total != nullptr) {
         mset_.view_advances_total->Add(1);

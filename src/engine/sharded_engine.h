@@ -480,7 +480,7 @@ class ShardedTopkEngine {
   /// sh.StoreView. The first call (a snapshot's only one) opens the
   /// threads + 1 handles (ShareReadView -> Pager::OpenOn ->
   /// TopkIndex::Open); each later one advances every handle in place under
-  /// its mu (Pager::AdvanceReadView with the writer's published_changes(),
+  /// its mu (Pager::AdvanceReadView with the writer's published_delta(),
   /// then TopkIndex::Open). Leaves sh.view untouched when the backend
   /// cannot share a read view or a handle fails to open or advance. Caller
   /// holds sh.mu (or owns sh before publication).

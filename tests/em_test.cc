@@ -341,6 +341,37 @@ TEST(PagedArrayTest, RangeIoTouchesEachBlockOnce) {
   }
 }
 
+// A rewrite that leaves a block's bytes as they were leaves the block clean
+// (no write-back, and under COW no redirect); a changed element dirties
+// only its own block.
+TEST(PagedArrayTest, RewriteOfEqualBytesStaysClean) {
+  Pager pager(EmOptions{.block_words = 16, .pool_frames = 8});
+  auto blocks = PagedArray<Rec>::AllocateBlocks(&pager, 64);  // 8 blocks
+  PagedArray<Rec> arr(&pager, blocks);
+  std::vector<Rec> vals;
+  for (std::uint32_t i = 0; i < 64; ++i) vals.push_back(Rec{i, 0.25 * i});
+  arr.WriteRange(0, vals);
+  pager.FlushAll();
+  IoStats before = pager.stats();
+  arr.WriteRange(0, vals);
+  pager.FlushAll();
+  EXPECT_EQ((pager.stats() - before).writes, 0u);
+
+  vals[37].val = -1.0;
+  before = pager.stats();
+  arr.WriteRange(0, vals);
+  pager.FlushAll();
+  EXPECT_EQ((pager.stats() - before).writes, 1u);
+  pager.DropCache();
+  std::vector<Rec> out;
+  arr.ReadRange(0, 64, &out);
+  ASSERT_EQ(out.size(), 64u);
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(out[i].id, vals[i].id);
+    EXPECT_EQ(out[i].val, vals[i].val);
+  }
+}
+
 // Free-space / high-water accounting (the compaction measurement seed).
 TEST(SpaceStatsTest, TracksAllocatorAndHighWater) {
   EmOptions opts{.block_words = 64, .pool_frames = 8};

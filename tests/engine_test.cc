@@ -585,61 +585,78 @@ EngineOptions MvccOpts(std::uint32_t shards = 4, std::uint32_t threads = 4) {
   return o;
 }
 
+using Selector = core::TopkIndex::Options::Selector;
+
+// kAuto picks ST12 at every size these suites build, so the MVCC cases that
+// must also cover Lemma 4 under view publication run once per selector.
+constexpr std::pair<Selector, const char*> kSelectors[] = {
+    {Selector::kAuto, "kAuto"}, {Selector::kLemma4, "kLemma4"}};
+
 // Every probe of an MVCC engine rides a published epoch view: answers are
 // byte-identical to the oracle and the query path never takes a shard
 // mutex (the lock-free-reads acceptance assertion).
 TEST(MvccEngineTest, LockFreeQueriesMatchOracleWithZeroShardLocks) {
-  Rng rng(21);
-  std::vector<Point> pts = RandomPoints(&rng, 1200);
-  auto engine = ShardedTopkEngine::Build(pts, MvccOpts(5, 4)).value();
-  for (int i = 0; i < 200; ++i) {
-    double a = rng.UniformDouble(-100.0, 1100.0);
-    double b = rng.UniformDouble(-100.0, 1100.0);
-    if (a > b) std::swap(a, b);
-    std::uint64_t k = 1 + rng.Uniform(50);
-    auto got = engine->TopK(a, b, k);
-    ASSERT_TRUE(got.ok());
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectPointsEqual(*got, internal::NaiveTopK(pts, a, b, k)));
+  for (const auto& [selector, tag] : kSelectors) {
+    SCOPED_TRACE(tag);
+    Rng rng(21);
+    std::vector<Point> pts = RandomPoints(&rng, 1200);
+    EngineOptions o = MvccOpts(5, 4);
+    o.index.selector = selector;
+    auto engine = ShardedTopkEngine::Build(pts, o).value();
+    for (int i = 0; i < 200; ++i) {
+      double a = rng.UniformDouble(-100.0, 1100.0);
+      double b = rng.UniformDouble(-100.0, 1100.0);
+      if (a > b) std::swap(a, b);
+      std::uint64_t k = 1 + rng.Uniform(50);
+      auto got = engine->TopK(a, b, k);
+      ASSERT_TRUE(got.ok());
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectPointsEqual(*got, internal::NaiveTopK(pts, a, b, k)));
+    }
+    EXPECT_EQ(engine->counters().query_shard_locks, 0u);
+    engine->CheckInvariants();
   }
-  EXPECT_EQ(engine->counters().query_shard_locks, 0u);
-  engine->CheckInvariants();
 }
 
 // Updates publish a fresh epoch before returning, so a single client reads
 // its own writes immediately — still without any query-path shard lock.
 TEST(MvccEngineTest, ReadYourWritesAcrossEpochs) {
-  Rng rng(23);
-  std::vector<Point> live = RandomPoints(&rng, 300);
-  auto engine = ShardedTopkEngine::Build(live, MvccOpts(4, 2)).value();
-  auto fresh_xs = rng.DistinctDoubles(200, 2000.0, 3000.0);
-  auto fresh_scores = rng.DistinctDoubles(200, 1.0, 2.0);
-  for (std::size_t i = 0; i < 200; ++i) {
-    if (i % 2 == 0) {
-      Point p{fresh_xs[i], fresh_scores[i]};
-      ASSERT_TRUE(engine->Insert(p).ok());
-      live.push_back(p);
-    } else {
-      std::size_t victim = rng.Uniform(live.size());
-      ASSERT_TRUE(engine->Delete(live[victim]).ok());
-      live[victim] = live.back();
-      live.pop_back();
+  for (const auto& [selector, tag] : kSelectors) {
+    SCOPED_TRACE(tag);
+    Rng rng(23);
+    std::vector<Point> live = RandomPoints(&rng, 300);
+    EngineOptions o = MvccOpts(4, 2);
+    o.index.selector = selector;
+    auto engine = ShardedTopkEngine::Build(live, o).value();
+    auto fresh_xs = rng.DistinctDoubles(200, 2000.0, 3000.0);
+    auto fresh_scores = rng.DistinctDoubles(200, 1.0, 2.0);
+    for (std::size_t i = 0; i < 200; ++i) {
+      if (i % 2 == 0) {
+        Point p{fresh_xs[i], fresh_scores[i]};
+        ASSERT_TRUE(engine->Insert(p).ok());
+        live.push_back(p);
+      } else {
+        std::size_t victim = rng.Uniform(live.size());
+        ASSERT_TRUE(engine->Delete(live[victim]).ok());
+        live[victim] = live.back();
+        live.pop_back();
+      }
+      double a = rng.UniformDouble(-100.0, 3100.0);
+      double b = rng.UniformDouble(-100.0, 3100.0);
+      if (a > b) std::swap(a, b);
+      std::uint64_t k = 1 + rng.Uniform(20);
+      auto got = engine->TopK(a, b, k);
+      ASSERT_TRUE(got.ok());
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectPointsEqual(*got, internal::NaiveTopK(live, a, b, k)))
+          << "after update " << i;
     }
-    double a = rng.UniformDouble(-100.0, 3100.0);
-    double b = rng.UniformDouble(-100.0, 3100.0);
-    if (a > b) std::swap(a, b);
-    std::uint64_t k = 1 + rng.Uniform(20);
-    auto got = engine->TopK(a, b, k);
-    ASSERT_TRUE(got.ok());
-    ASSERT_NO_FATAL_FAILURE(
-        ExpectPointsEqual(*got, internal::NaiveTopK(live, a, b, k)))
-        << "after update " << i;
+    EXPECT_EQ(engine->counters().query_shard_locks, 0u);
+    // The update stream superseded COW blocks across many epochs; with the
+    // old views dropped, retirement must have recycled some of them.
+    EXPECT_GT(engine->AggregatedIoStats().retired_blocks, 0u);
+    engine->CheckInvariants();
   }
-  EXPECT_EQ(engine->counters().query_shard_locks, 0u);
-  // The update stream superseded COW blocks across many epochs; with the
-  // old views dropped, retirement must have recycled some of them.
-  EXPECT_GT(engine->AggregatedIoStats().retired_blocks, 0u);
-  engine->CheckInvariants();
 }
 
 // The concurrent acceptance test: reader threads hammer wide top-k queries
@@ -779,6 +796,12 @@ void ExpectPublishKeepsReadHandlesWarm(EngineOptions o) {
   EXPECT_NE(dump.find("tokra_engine_view_publish_us_count " +
                       std::to_string(publishes) + "\n"),
             std::string::npos);
+  // The writer's allocator image, which every publish still serializes.
+  const std::string stream_gauge =
+      "tokra_pager_checkpoint_stream_words{shard=\"0\"} ";
+  const std::size_t at = dump.find(stream_gauge);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_GT(std::stoll(dump.substr(at + stream_gauge.size())), 0);
   engine->CheckInvariants();
 }
 

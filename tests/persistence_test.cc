@@ -628,100 +628,110 @@ std::vector<std::string> ShardFileImages(const engine::EngineOptions& opts) {
   return images;
 }
 
+using Selector = core::TopkIndex::Options::Selector;
+
+// kAuto picks ST12 at every size these suites build, so the serving and
+// recovery cases that must also cover Lemma 4 run once per selector.
+constexpr std::pair<Selector, const char*> kSelectors[] = {
+    {Selector::kAuto, "kAuto"}, {Selector::kLemma4, "kLemma4"}};
+
 // Served on both file backends: kMmap borrows straight from the mapping,
 // kFile copies through FileBlockDevice::ViewRead (pread on the shared fd).
 TEST(SnapshotServingTest, OracleIdenticalQueriesWithoutWrites) {
-  for (const auto& [tag, backend] : {std::pair{"mmap", em::Backend::kMmap},
-                                     std::pair{"file", em::Backend::kFile}}) {
-    SCOPED_TRACE(tag);
-    TempDir dir(std::string("snap-") + tag);
-    engine::EngineOptions opts;
-    opts.num_shards = 4;
-    opts.threads = 2;
-    opts.em = em::EmOptions{.block_words = 64, .pool_frames = 16};
-    opts.em.backend = backend;
-    opts.storage_dir = dir.path();
+  for (const auto& [selector, selector_tag] : kSelectors) {
+    for (const auto& [tag, backend] : {std::pair{"mmap", em::Backend::kMmap},
+                                       std::pair{"file", em::Backend::kFile}}) {
+      SCOPED_TRACE(std::string(selector_tag) + " " + tag);
+      TempDir dir(std::string("snap-") + tag);
+      engine::EngineOptions opts;
+      opts.index.selector = selector;
+      opts.num_shards = 4;
+      opts.threads = 2;
+      opts.em = em::EmOptions{.block_words = 64, .pool_frames = 16};
+      opts.em.backend = backend;
+      opts.storage_dir = dir.path();
 
-    Rng rng(41);
-    auto points = MakePoints(&rng, 2000);
-    auto queries = MakeQueries(&rng, 300);
-    {
-      auto built = engine::ShardedTopkEngine::Build(points, opts);
-      ASSERT_TRUE(built.ok());
-      ASSERT_TRUE((*built)->Checkpoint().ok());
-    }  // restart: the snapshot serves the files alone
+      Rng rng(41);
+      auto points = MakePoints(&rng, 2000);
+      auto queries = MakeQueries(&rng, 300);
+      {
+        auto built = engine::ShardedTopkEngine::Build(points, opts);
+        ASSERT_TRUE(built.ok());
+        ASSERT_TRUE((*built)->Checkpoint().ok());
+      }  // restart: the snapshot serves the files alone
 
-    const auto images_before = ShardFileImages(opts);
-    auto snap = engine::ShardedTopkEngine::OpenSnapshot(opts);
-    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-    auto& eng = *snap;
-    EXPECT_TRUE(eng->snapshot());
-    EXPECT_EQ(eng->size(), points.size());
-    eng->CheckInvariants();
+      const auto images_before = ShardFileImages(opts);
+      auto snap = engine::ShardedTopkEngine::OpenSnapshot(opts);
+      ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+      auto& eng = *snap;
+      EXPECT_TRUE(eng->snapshot());
+      EXPECT_EQ(eng->size(), points.size());
+      eng->CheckInvariants();
 
-    // Every query answers exactly as a plain index over the point set
-    // would — the borrowed zero-copy and the copying read paths alike.
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      auto r = eng->TopK(queries[i].x1, queries[i].x2, queries[i].k);
-      ASSERT_TRUE(r.ok());
-      EXPECT_EQ(*r, internal::NaiveTopK(points, queries[i].x1, queries[i].x2,
-                                        queries[i].k))
-          << "query " << i;
-    }
-    // The zero-copy path engages exactly on mmap shards.
-    if (backend == em::Backend::kMmap) {
-      EXPECT_GT(eng->AggregatedIoStats().borrows, 0u);
-    } else {
-      EXPECT_EQ(eng->AggregatedIoStats().borrows, 0u);
-    }
+      // Every query answers exactly as a plain index over the point set
+      // would — the borrowed zero-copy and the copying read paths alike.
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        auto r = eng->TopK(queries[i].x1, queries[i].x2, queries[i].k);
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(*r, internal::NaiveTopK(points, queries[i].x1, queries[i].x2,
+                                          queries[i].k))
+            << "query " << i;
+      }
+      // The zero-copy path engages exactly on mmap shards.
+      if (backend == em::Backend::kMmap) {
+        EXPECT_GT(eng->AggregatedIoStats().borrows, 0u);
+      } else {
+        EXPECT_EQ(eng->AggregatedIoStats().borrows, 0u);
+      }
 
-    // Concurrent readers: oracle-identical under contention, handles
-    // shared.
-    std::vector<std::thread> readers;
-    std::atomic<int> failures{0};
-    for (int t = 0; t < 4; ++t) {
-      readers.emplace_back([&, t] {
-        for (std::size_t i = t; i < queries.size(); i += 2) {
-          auto r = eng->TopK(queries[i].x1, queries[i].x2, queries[i].k);
-          if (!r.ok() ||
-              *r != internal::NaiveTopK(points, queries[i].x1, queries[i].x2,
-                                        queries[i].k)) {
-            failures.fetch_add(1);
+      // Concurrent readers: oracle-identical under contention, handles
+      // shared.
+      std::vector<std::thread> readers;
+      std::atomic<int> failures{0};
+      for (int t = 0; t < 4; ++t) {
+        readers.emplace_back([&, t] {
+          for (std::size_t i = t; i < queries.size(); i += 2) {
+            auto r = eng->TopK(queries[i].x1, queries[i].x2, queries[i].k);
+            if (!r.ok() ||
+                *r != internal::NaiveTopK(points, queries[i].x1, queries[i].x2,
+                                          queries[i].k)) {
+              failures.fetch_add(1);
+            }
           }
-        }
-      });
+        });
+      }
+      for (auto& th : readers) th.join();
+      EXPECT_EQ(failures.load(), 0);
+
+      // Read-only contract: every mutation path refuses...
+      EXPECT_EQ(eng->Insert(Point{5e6, 9.0}).code(),
+                StatusCode::kFailedPrecondition);
+      EXPECT_EQ(eng->Delete(points[0]).code(), StatusCode::kFailedPrecondition);
+      EXPECT_EQ(eng->Checkpoint().code(), StatusCode::kFailedPrecondition);
+      EXPECT_EQ(eng->Rebalance().code(), StatusCode::kFailedPrecondition);
+      EXPECT_FALSE(eng->MaybeRebalance());
+      std::vector<engine::Request> batch;
+      batch.push_back(engine::Request::MakeInsert(Point{5e6, 9.0}));
+      batch.push_back(engine::Request::MakeTopk(0.0, 1e6, 5));
+      std::vector<engine::Response> out;
+      eng->ExecuteBatch(batch, &out);
+      EXPECT_EQ(out[0].status.code(), StatusCode::kFailedPrecondition);
+      EXPECT_EQ(out[1].points, internal::NaiveTopK(points, 0.0, 1e6, 5));
+      // Every probe above rode the shards' published views.
+      EXPECT_EQ(eng->counters().query_shard_locks, 0u);
+
+      // ...and the files' bytes are untouched by all of the above.
+      EXPECT_EQ(ShardFileImages(opts), images_before);
+
+      // A live engine can still Recover() from the same (unmodified)
+      // directory and accept updates — after the snapshot closes (the serving
+      // contract: the files stay quiescent while a snapshot is open).
+      snap->reset();
+      auto recovered = engine::ShardedTopkEngine::Recover(opts);
+      ASSERT_TRUE(recovered.ok());
+      ASSERT_TRUE((*recovered)->Insert(Point{5e6, 9.0}).ok());
+      (*recovered)->CheckInvariants();
     }
-    for (auto& th : readers) th.join();
-    EXPECT_EQ(failures.load(), 0);
-
-    // Read-only contract: every mutation path refuses...
-    EXPECT_EQ(eng->Insert(Point{5e6, 9.0}).code(),
-              StatusCode::kFailedPrecondition);
-    EXPECT_EQ(eng->Delete(points[0]).code(), StatusCode::kFailedPrecondition);
-    EXPECT_EQ(eng->Checkpoint().code(), StatusCode::kFailedPrecondition);
-    EXPECT_EQ(eng->Rebalance().code(), StatusCode::kFailedPrecondition);
-    EXPECT_FALSE(eng->MaybeRebalance());
-    std::vector<engine::Request> batch;
-    batch.push_back(engine::Request::MakeInsert(Point{5e6, 9.0}));
-    batch.push_back(engine::Request::MakeTopk(0.0, 1e6, 5));
-    std::vector<engine::Response> out;
-    eng->ExecuteBatch(batch, &out);
-    EXPECT_EQ(out[0].status.code(), StatusCode::kFailedPrecondition);
-    EXPECT_EQ(out[1].points, internal::NaiveTopK(points, 0.0, 1e6, 5));
-    // Every probe above rode the shards' published views.
-    EXPECT_EQ(eng->counters().query_shard_locks, 0u);
-
-    // ...and the files' bytes are untouched by all of the above.
-    EXPECT_EQ(ShardFileImages(opts), images_before);
-
-    // A live engine can still Recover() from the same (unmodified)
-    // directory and accept updates — after the snapshot closes (the serving
-    // contract: the files stay quiescent while a snapshot is open).
-    snap->reset();
-    auto recovered = engine::ShardedTopkEngine::Recover(opts);
-    ASSERT_TRUE(recovered.ok());
-    ASSERT_TRUE((*recovered)->Insert(Point{5e6, 9.0}).ok());
-    (*recovered)->CheckInvariants();
   }
 }
 
@@ -817,13 +827,6 @@ TEST(WalRecoveryTest, CrashBetweenCheckpointsLosesNothing) {
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   ExpectMatchesOracle(again->get(), expected, 500);
 }
-
-using Selector = core::TopkIndex::Options::Selector;
-
-// kAuto picks ST12 at every size these suites build, so the recovery
-// cases that must also cover Lemma 4 run once per selector.
-constexpr std::pair<Selector, const char*> kSelectors[] = {
-    {Selector::kAuto, "kAuto"}, {Selector::kLemma4, "kLemma4"}};
 
 // MVCC churn with pools far smaller than the shards: a prefetch can evict
 // a dirty copy-on-write block and re-read it in the same call. The re-read
@@ -1641,7 +1644,7 @@ TEST(CowEpochTest, FailedAdvanceKeepsPreviousEpoch) {
   super[3] ^= 1;
   pager.device()->Write(slot, super.data());
 
-  EXPECT_FALSE((*view)->AdvanceReadView(e + 1, pager.published_changes()).ok());
+  EXPECT_FALSE((*view)->AdvanceReadView(e + 1, pager.published_delta()).ok());
   EXPECT_EQ((*view)->published_epoch(), e);
   EXPECT_EQ((*view)->roots(),
             std::vector<std::uint64_t>(old_roots, old_roots + 1));
@@ -1651,7 +1654,7 @@ TEST(CowEpochTest, FailedAdvanceKeepsPreviousEpoch) {
 
   super[3] ^= 1;
   pager.device()->Write(slot, super.data());
-  ASSERT_TRUE((*view)->AdvanceReadView(e + 1, pager.published_changes()).ok());
+  ASSERT_TRUE((*view)->AdvanceReadView(e + 1, pager.published_delta()).ok());
   EXPECT_EQ((*view)->published_epoch(), e + 1);
   EXPECT_EQ((*view)->roots(),
             std::vector<std::uint64_t>(new_roots, new_roots + 1));
@@ -1665,12 +1668,13 @@ TEST(CowEpochTest, FailedAdvanceKeepsPreviousEpoch) {
   pin.Release();
 }
 
-// A one-epoch advance redoes only the translation-map entries of the
-// names in published_changes() (DESIGN.md §14.4). Over 40 seeded epochs
-// that rewrite, free and allocate names (released pins let retired ids
-// come back as new names and locations), a view advanced epoch by epoch
-// must read what a fresh OpenOn at the same epoch reads. One epoch is
-// skipped, so the next advance rebuilds the whole map instead.
+// A one-epoch advance applies the writer's published_delta() to the
+// translation map and reads only the two superblock slots — no spill
+// region (DESIGN.md §14.4). Over 40 seeded epochs that rewrite, free and
+// allocate names (released pins let retired ids come back as new names and
+// locations), a view advanced epoch by epoch must read what a fresh OpenOn
+// at the same epoch reads. One epoch is skipped, so the next advance
+// rebuilds the whole map instead.
 void ExpectAdvancedViewMatchesFreshOpen(em::Backend backend,
                                         const std::string& tag) {
   TempDir dir(tag);
@@ -1712,10 +1716,15 @@ void ExpectAdvancedViewMatchesFreshOpen(em::Backend backend,
     const std::uint64_t e = pager.published_epoch();
     const bool skip = epoch == 20;
     if (!skip) {
-      if ((*view)->published_epoch() + 1 != e) ++full_advances;
-      ASSERT_TRUE(
-          (*view)->AdvanceReadView(e, pager.published_changes()).ok());
+      const bool full = (*view)->published_epoch() + 1 != e;
+      if (full) ++full_advances;
+      const std::uint64_t reads = (*view)->stats().reads;
+      ASSERT_TRUE((*view)->AdvanceReadView(e, pager.published_delta()).ok());
       ASSERT_EQ((*view)->published_epoch(), e);
+      if (!full) {
+        EXPECT_EQ((*view)->stats().reads - reads, em::Pager::kReservedBlocks)
+            << "one-epoch advance to " << e << " reads beyond the slots";
+      }
       pin = pager.PinEpoch();  // the old pin goes: its blocks may retire
     }
     auto fresh = em::Pager::OpenOn(pager.ShareReadView(), opts);
